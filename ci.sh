@@ -9,8 +9,8 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
@@ -109,32 +109,8 @@ code=0
 [ "$code" -eq 9 ] || { echo "    --kill-after-chunks must exit 9, got $code"; exit 1; }
 ./target/release/run_scenario --pack packs/quiet.toml \
     --store target/ci_chain_res.store --hours 1 --resume > /dev/null
-python3 - target/ci_chain_ref.store target/ci_chain_res.store \
-          target/ci_chain_ref.store-chain target/ci_chain_res.store-chain <<'EOF'
-import os, sys
-
-def snap(root):
-    out = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel = os.path.relpath(dirpath, root)
-        # Crash debris the commit protocol may leave behind is not part
-        # of the committed state.
-        if rel.split(os.sep)[0] in ("quarantine", "retired"):
-            dirnames[:] = []
-            continue
-        for f in filenames:
-            p = os.path.join(dirpath, f)
-            with open(p, "rb") as fh:
-                out[os.path.relpath(p, root)] = fh.read()
-    return out
-
-for a, b in ((sys.argv[1], sys.argv[2]), (sys.argv[3], sys.argv[4])):
-    sa, sb = snap(a), snap(b)
-    assert sa.keys() == sb.keys(), f"{a} vs {b}: {sorted(sa.keys() ^ sb.keys())}"
-    for k in sa:
-        assert sa[k] == sb[k], f"{a} vs {b}: {k} differs"
-    assert sa, f"{a}: empty"
-EOF
+./target/release/iriq diff target/ci_chain_ref.store target/ci_chain_res.store
+./target/release/iriq diff target/ci_chain_ref.store-chain target/ci_chain_res.store-chain
 echo "    resumed store and chain are byte-identical to the unkilled run's"
 
 echo "==> chain replay-equivalence smoke (paper-1996 pack, 1 simulated hour)"
@@ -146,28 +122,7 @@ rm -rf target/ci_replay_rec.store target/ci_replay_rec.store-chain \
 ./target/release/run_scenario --pack packs/paper_1996.toml \
     --store target/ci_replay_rep.store --hours 1 --replay \
     --chain target/ci_replay_rec.store-chain > /dev/null
-python3 - target/ci_replay_rec.store target/ci_replay_rep.store <<'EOF'
-import os, sys
-
-def snap(root):
-    out = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel = os.path.relpath(dirpath, root)
-        if rel.split(os.sep)[0] in ("quarantine", "retired"):
-            dirnames[:] = []
-            continue
-        for f in filenames:
-            p = os.path.join(dirpath, f)
-            with open(p, "rb") as fh:
-                out[os.path.relpath(p, root)] = fh.read()
-    return out
-
-sa, sb = snap(sys.argv[1]), snap(sys.argv[2])
-assert sa.keys() == sb.keys(), sorted(sa.keys() ^ sb.keys())
-for k in sa:
-    assert sa[k] == sb[k], f"{k} differs"
-assert sa
-EOF
+./target/release/iriq diff target/ci_replay_rec.store target/ci_replay_rep.store
 echo "    replay from the chain re-derived a byte-identical store"
 
 echo "==> tracescope watch --state restart smoke"

@@ -53,7 +53,7 @@ fn main() {
 
     // Cross-validate against simulated route-server censuses.
     let check_days = [10u32, 100, 200];
-    let summaries = ex.run_days(check_days.iter().copied());
+    let summaries = ex.run_days_in(&ex.cfg.scenario, &ex.graph, check_days.iter().copied());
     println!("\ncross-check against simulated RS table censuses:");
     for s in &summaries {
         let model = graph.multihomed_count(s.day);

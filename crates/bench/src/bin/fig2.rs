@@ -26,7 +26,7 @@ fn main() {
         .iter()
         .flat_map(|&start| (0..days_per_month).map(move |i| start + 2 + i * 7))
         .collect();
-    let summaries = ex.run_days(sample_days.iter().copied());
+    let summaries = ex.run_days_in(&ex.cfg.scenario, &ex.graph, sample_days.iter().copied());
     let graph = &ex.graph;
 
     let mut periods: Vec<(String, ClassBreakdown)> = Vec::new();

@@ -26,7 +26,7 @@ fn main() {
     // deterministic ~6% day-loss process and skip simulating those days.
     let lost = |d: u32| d.wrapping_mul(2_654_435_761) % 17 == 3;
     let run_list: Vec<u32> = (start..start + days).filter(|&d| !lost(d)).collect();
-    let summaries = ex.run_days(run_list.iter().copied());
+    let summaries = ex.run_days_in(&ex.cfg.scenario, &ex.graph, run_list.iter().copied());
     let mut day_bins: Vec<Option<[u64; 144]>> = Vec::with_capacity(days as usize);
     let mut si = 0usize;
     for d in start..start + days {

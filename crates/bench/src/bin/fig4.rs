@@ -17,7 +17,7 @@ fn main() {
     );
     // Day 124 = Saturday August 3 1996, the paper's week.
     let start = arg_u64(&ex.args, "--start", 124) as u32;
-    let summaries = ex.run_days(start..start + 7);
+    let summaries = ex.run_days_in(&ex.cfg.scenario, &ex.graph, start..start + 7);
 
     let mut weekday_total = 0u64;
     let mut weekend_total = 0u64;

@@ -22,7 +22,7 @@ fn main() {
     );
     let start = arg_u64(&ex.args, "--start", 122) as u32; // Aug 1
     let days = arg_u64(&ex.args, "--days", 56) as u32; // 8 weeks Aug–Sep
-    let summaries = ex.run_days(start..start + days);
+    let summaries = ex.run_days_in(&ex.cfg.scenario, &ex.graph, start..start + days);
 
     // Hourly series across the whole window.
     let mut hourly: Vec<f64> = Vec::with_capacity(summaries.len() * 24);

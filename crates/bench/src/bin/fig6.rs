@@ -18,7 +18,7 @@ fn main() {
     );
     let start = arg_u64(&ex.args, "--start", 122) as u32; // Aug 1
     let days = arg_u64(&ex.args, "--days", 10) as u32;
-    let summaries = ex.run_days(start..start + days);
+    let summaries = ex.run_days_in(&ex.cfg.scenario, &ex.graph, start..start + days);
     let graph = &ex.graph;
 
     // The summary flattens the four categories in FIGURE_CATEGORIES order,

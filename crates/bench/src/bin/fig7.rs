@@ -19,7 +19,7 @@ fn main() {
     );
     let start = arg_u64(&ex.args, "--start", 122) as u32;
     let days = arg_u64(&ex.args, "--days", 10) as u32;
-    let summaries = ex.run_days(start..start + days);
+    let summaries = ex.run_days_in(&ex.cfg.scenario, &ex.graph, start..start + days);
 
     // Aggregate view: median cumulative-at-50 per class across days.
     for (ci, class) in UpdateClass::FIGURE_CATEGORIES.iter().enumerate() {

@@ -22,7 +22,7 @@ fn main() {
         .iter()
         .flat_map(|&m| (0..days_per_month).map(move |i| m + 3 + i * 9))
         .collect();
-    let summaries = ex.run_days(sample_days.iter().copied());
+    let summaries = ex.run_days_in(&ex.cfg.scenario, &ex.graph, sample_days.iter().copied());
 
     println!(
         "{:>5} {:>8} {:>8} {:>8} {:>8} {:>10} {:>8}",

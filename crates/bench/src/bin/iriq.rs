@@ -12,7 +12,12 @@
 //! iriq <dir> top-prefixes [--limit N]      # Figure 5's by-prefix shape
 //! iriq <dir> bytes [filters]               # §3 bandwidth view
 //! iriq <dir> series --bin-ms N [--spectrum]  # §5.2 FFT-of-ACF periods
+//! iriq diff <dirA> <dirB>                  # first byte that differs
 //! ```
+//!
+//! `diff` compares two stores (or chain directories) file by file,
+//! skipping `quarantine/` and `retired/`. It exits 0 when they hold the
+//! same files, 1 on a difference or when there is nothing to compare.
 //!
 //! The same commands run against a live `iri-serve` process instead of a
 //! directory — identical filter grammar and rendering, shipped as one
@@ -56,12 +61,13 @@ use iri_core::timeseries::detrend::log_detrend;
 use iri_core::timeseries::spectrum::{acf_spectrum, dominant_periods};
 use iri_obs::Cause;
 use iri_serve::{Client, Command, Filter, HealthBody, MetricsBody, Response, StatsBody};
-use iri_store::{PlanKind, StoreError};
+use iri_store::{DirDiff, PlanKind, StoreError};
 use std::path::Path;
 
 fn usage() -> ! {
     eprintln!(
         "usage: iriq <dir> <info|count-by-class|count-by-cause|top-peers|top-prefixes|bytes|series>\n\
+         \x20      iriq diff <dirA> <dirB>\n\
          \x20      iriq --connect HOST:PORT <ping|stats|metrics|health|info|count-by-class|...>\n\
          filters: [--from-ms A] [--to-ms B] [--day D] [--peer ASN] [--prefix P] \
          [--class NAME] [--cause NAME] [--strict] [--stats] [--explain]\n\
@@ -409,6 +415,15 @@ fn main() {
             usage()
         };
         remote_main(&addr, &args);
+    }
+    if args.get(1).map(String::as_str) == Some("diff") {
+        let (Some(a), Some(b)) = (args.get(2), args.get(3)) else {
+            usage()
+        };
+        let diff = iri_store::diff_dirs(Path::new(a), Path::new(b)).unwrap_or_else(|e| fail(e));
+        println!("{diff}");
+        let same = matches!(diff, DirDiff::Identical { files } if files > 0);
+        std::process::exit(i32::from(!same));
     }
     let (Some(dir), Some(cmd)) = (args.get(1), args.get(2)) else {
         usage()

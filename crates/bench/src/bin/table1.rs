@@ -45,7 +45,10 @@ fn main() {
         prefixes: 0, // no oscillators of its own; the echoes are the storm
     });
 
-    let summary = ex.summarize_day_in(&scenario, &graph, day);
+    let summary = ex
+        .run_days_in(&scenario, &graph, std::iter::once(day))
+        .pop()
+        .expect("one day in, one summary out");
     let names = |asn: iri_bgp::types::Asn| -> String {
         graph.providers.iter().find(|p| p.asn == asn).map_or_else(
             || asn.to_string(),

@@ -37,9 +37,8 @@
 //! re-raising incidents for bins it already handled.
 
 use iri_bench::cli::QueryFilter;
-use iri_bench::{arg_str, arg_u64, exit_store_error, logged_to_events_with_causes, CauseBreakdown};
+use iri_bench::{arg_str, arg_u64, exit_store_error, CauseBreakdown};
 use iri_core::taxonomy::UpdateClass;
-use iri_core::Classifier;
 use iri_netsim::{Cause, TraceKind};
 use iri_obs::Registry;
 use iri_serve::{Client, Command, Response};
@@ -235,15 +234,12 @@ fn main() {
 
     println!("tracescope: pathology scenario, seed {seed:#x}, 30 simulated minutes");
     let mut scenario = iri_bench::run_pathology(seed);
+    // ---- cause × class attribution -----------------------------------
+    let (classified, causes) = scenario.classified();
     let monitor = scenario
         .world
         .take_monitor(scenario.route_server)
         .expect("route server is monitored");
-
-    // ---- cause × class attribution -----------------------------------
-    let (events, causes) = logged_to_events_with_causes(&monitor.updates);
-    let mut classifier = Classifier::new();
-    let classified = classifier.classify_all(&events);
     let tally = CauseBreakdown::tally(&classified, &causes);
 
     if let Some(dir) = arg_str(&args, "--store") {

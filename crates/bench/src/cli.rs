@@ -16,9 +16,6 @@
 //! [`EXIT_USAGE`]); store errors carry their own exit codes via
 //! [`StoreError::exit_code`].
 
-use iri_bgp::types::{Asn, Prefix};
-use iri_core::taxonomy::UpdateClass;
-use iri_obs::Cause;
 use iri_store::{OpenOptions, Query, ScanStats, Store, StoreError};
 use std::path::Path;
 
@@ -100,18 +97,6 @@ pub fn banner(title: &str, paper: &str) {
     println!("================================================================");
 }
 
-/// Parses a taxonomy class by its label, case-insensitively.
-#[deprecated(note = "use iri_store::parse_class_label — the store owns the label grammar now")]
-pub fn parse_class(name: &str) -> Result<UpdateClass, String> {
-    iri_store::parse_class_label(name)
-}
-
-/// Parses a cause by its label, case-insensitively.
-#[deprecated(note = "use iri_store::parse_cause_label — the store owns the label grammar now")]
-pub fn parse_cause(name: &str) -> Result<Cause, String> {
-    iri_store::parse_cause_label(name)
-}
-
 /// The open/report options every store-facing binary shares (`--strict`,
 /// `--stats`) wrapped around an [`iri_store::Query`].
 ///
@@ -131,9 +116,7 @@ pub fn parse_cause(name: &str) -> Result<Cause, String> {
 /// assert!(f.is_strict());
 /// ```
 ///
-/// or parse a command line with [`QueryFilter::from_args`]. The old
-/// per-field builder methods survive as `#[deprecated]` shims over
-/// [`iri_store::Query`].
+/// or parse a command line with [`QueryFilter::from_args`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryFilter {
     query: Query,
@@ -148,8 +131,7 @@ impl QueryFilter {
         Self::default()
     }
 
-    /// Wraps an already-built store query — the replacement for the
-    /// deprecated per-field builder methods below.
+    /// Wraps an already-built store query.
     #[must_use]
     pub fn from_query(query: Query) -> Self {
         QueryFilter {
@@ -157,54 +139,6 @@ impl QueryFilter {
             strict: false,
             stats: false,
         }
-    }
-
-    /// Restricts to `[from_ms, to_ms)`.
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn time_range_ms(mut self, from_ms: u64, to_ms: u64) -> Self {
-        self.query = self.query.time_range_ms(from_ms, to_ms);
-        self
-    }
-
-    /// Restricts to one simulated day (the day-cache window shorthand).
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn day(mut self, day: u64) -> Self {
-        self.query = self.query.day_window(day);
-        self
-    }
-
-    /// Restricts to one peer AS.
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn peer(mut self, asn: Asn) -> Self {
-        self.query = self.query.peer(asn);
-        self
-    }
-
-    /// Restricts to one prefix (exact match).
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn prefix(mut self, prefix: Prefix) -> Self {
-        self.query = self.query.prefix(prefix);
-        self
-    }
-
-    /// Restricts to one taxonomy class.
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn class(mut self, class: UpdateClass) -> Self {
-        self.query = self.query.class(class);
-        self
-    }
-
-    /// Restricts to one cause.
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn cause(mut self, cause: Cause) -> Self {
-        self.query = self.query.cause(cause);
-        self
     }
 
     /// Sets strict (fail-fast) store opening: corrupt or crash-recovered
@@ -330,6 +264,9 @@ pub fn exit_store_error(prog: &str, e: &StoreError) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iri_bgp::types::Asn;
+    use iri_core::taxonomy::UpdateClass;
+    use iri_obs::Cause;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_owned()).collect()

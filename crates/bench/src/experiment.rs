@@ -51,19 +51,12 @@ pub fn experiment(title: &str, paper: &str, default_scale: f64) -> Experiment {
 }
 
 impl Experiment {
-    /// Runs `days` with the experiment's own scenario and topology,
-    /// through the store cache when `--store` was given.
-    #[must_use]
-    pub fn run_days(&self, days: impl Iterator<Item = u32>) -> Vec<DaySummary> {
-        let scenario = self.cfg.scenario.clone();
-        let graph = &self.graph;
-        self.run_days_in(&scenario, graph, days)
-    }
-
-    /// [`Experiment::run_days`] with a custom scenario/topology (for
-    /// binaries like `table1` that inject incident providers). The store
-    /// cache fingerprints the scenario and topology, so customized runs
-    /// never collide with the default ones in the same directory.
+    /// Runs `days` of `scenario` on `graph` in parallel — the experiment's
+    /// own `cfg.scenario` and `graph`, or a customized pair (for binaries
+    /// like `table1` that inject incident providers) — through the store
+    /// cache when `--store` was given. The cache fingerprints the scenario
+    /// and topology, so customized runs never collide with the default
+    /// ones in the same directory.
     #[must_use]
     pub fn run_days_in(
         &self,
@@ -99,17 +92,34 @@ impl Experiment {
             }
         }
     }
+}
 
-    /// One day through the same path as [`Experiment::run_days_in`].
-    #[must_use]
-    pub fn summarize_day_in(
-        &self,
-        scenario: &ScenarioConfig,
-        graph: &AsGraph,
-        day: u32,
-    ) -> DaySummary {
-        self.run_days_in(scenario, graph, std::iter::once(day))
-            .pop()
-            .expect("one day in, one summary out")
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_days_parallel_matches_serial() {
+        let (mut cfg, graph) = ExperimentConfig::at_scale(0.01);
+        cfg.scenario.warmup_minutes = 10;
+        cfg.threads = 3;
+        let ex = Experiment {
+            args: Vec::new(),
+            scale: cfg.scale,
+            cfg,
+            graph,
+            store_dir: None,
+        };
+        let par = ex.run_days_in(&ex.cfg.scenario, &ex.graph, 0..4u32);
+        let days: Vec<(u32, u64)> = par.iter().map(|s| (s.day, s.total_events)).collect();
+        let serial: Vec<(u32, u64)> = (0..4u32)
+            .map(|d| {
+                (
+                    d,
+                    summarize_day(&ex.cfg.scenario, &ex.graph, d).total_events,
+                )
+            })
+            .collect();
+        assert_eq!(days, serial, "parallel days must match serial ones");
     }
 }

@@ -5,13 +5,16 @@
 //! `ablations`), all built on the shared pipeline here:
 //!
 //! ```text
-//! iri-topology scenario → iri-netsim day world → monitor log
-//!        → iri-core events → classifier → per-day summary
+//! scenario pack → build_day_world → iri_scenario::drive_day
+//!        → classified stream → per-day summary
 //! ```
 //!
+//! `drive_day` is the same day loop the streaming `ScenarioRunner`
+//! uses; here its classified stream is collected in memory per day.
 //! Multi-day experiments run days in parallel through `iri-pipeline`'s
-//! ordered parallel map; each simulated day is independent (its own
-//! seeded world), so results are deterministic regardless of scheduling.
+//! ordered parallel map ([`Experiment::run_days_in`]); each simulated
+//! day is independent (its own seeded world), so results are
+//! deterministic regardless of scheduling.
 
 pub mod cli;
 pub mod engine;
@@ -38,36 +41,15 @@ pub use report::{
     UpdateReport,
 };
 pub use store_cache::summarize_days_cached;
-pub use summary::{run_days, run_days_with_metrics, summarize_day, DaySummary, ExperimentConfig};
+pub use summary::{summarize_day, DaySummary, ExperimentConfig};
 
-use iri_core::input::{PeerKey, UpdateEvent};
+use iri_core::input::UpdateEvent;
 use iri_netsim::monitor::LoggedUpdate;
-use iri_obs::Cause;
 
 /// Converts monitor log entries into the analysis crate's prefix events.
 #[must_use]
 pub fn logged_to_events(log: &[LoggedUpdate]) -> Vec<UpdateEvent> {
-    logged_to_events_with_causes(log).0
-}
-
-/// Like [`logged_to_events`], but also returns each event's causal
-/// provenance tag, aligned index-for-index with the event vector (every
-/// prefix event inside one wire UPDATE inherits that UPDATE's cause).
-#[must_use]
-pub fn logged_to_events_with_causes(log: &[LoggedUpdate]) -> (Vec<UpdateEvent>, Vec<Cause>) {
-    let mut out = Vec::with_capacity(log.len());
-    let mut causes = Vec::with_capacity(log.len());
-    for entry in log {
-        if let iri_bgp::message::Message::Update(u) = &entry.message {
-            let peer = PeerKey {
-                asn: entry.peer_asn,
-                addr: entry.peer_addr,
-            };
-            out.extend(iri_core::input::events_from_update(entry.time_ms, peer, u));
-            causes.resize(out.len(), entry.cause);
-        }
-    }
-    (out, causes)
+    log.iter().flat_map(iri_scenario::logged_events).collect()
 }
 
 #[cfg(test)]
@@ -78,6 +60,7 @@ mod tests {
     fn logged_to_events_skips_keepalives() {
         use iri_bgp::message::{Message, Update};
         use iri_bgp::types::Asn;
+        use iri_obs::Cause;
         use std::net::Ipv4Addr;
         let log = vec![
             LoggedUpdate {
@@ -95,9 +78,8 @@ mod tests {
                 cause: Cause::LinkFlap,
             },
         ];
-        let (events, causes) = logged_to_events_with_causes(&log);
+        let events = logged_to_events(&log);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].time_ms, 6);
-        assert_eq!(causes, vec![Cause::LinkFlap]);
     }
 }

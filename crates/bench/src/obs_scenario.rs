@@ -19,8 +19,10 @@
 //! (trace ring buffer + metrics registry).
 
 use iri_bgp::types::{Asn, Prefix};
+use iri_core::classifier::{ClassifiedEvent, Classifier};
 use iri_netsim::{CsuFault, RouterConfig, RouterId, World, MINUTE, SECOND};
 use iri_obs::Cause;
+use iri_scenario::logged_events;
 use std::net::Ipv4Addr;
 
 /// Handles into the built scenario.
@@ -40,6 +42,24 @@ pub struct ObsScenario {
 impl ObsScenario {
     /// Simulated duration of the run.
     pub const END: u64 = 30 * MINUTE;
+
+    /// The route server's log, classified, with each event's cause
+    /// aligned index for index (every prefix event inside one UPDATE
+    /// inherits that UPDATE's cause).
+    #[must_use]
+    pub fn classified(&self) -> (Vec<ClassifiedEvent>, Vec<Cause>) {
+        let monitor = self
+            .world
+            .monitor(self.route_server)
+            .expect("route server is monitored");
+        let mut classifier = Classifier::new();
+        monitor
+            .updates
+            .iter()
+            .flat_map(|u| logged_events(u).into_iter().map(move |ev| (ev, u.cause)))
+            .map(|(ev, cause)| (classifier.classify(&ev), cause))
+            .unzip()
+    }
 }
 
 /// Number of prefixes behind the storm-bugged router.

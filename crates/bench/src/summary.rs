@@ -1,10 +1,8 @@
 //! Per-day experiment summaries: everything any figure needs, reduced
 //! inside the per-day worker so multi-month runs stay small in memory.
 
-use crate::logged_to_events_with_causes;
 use iri_bgp::types::Asn;
 use iri_core::classifier::ClassifiedEvent;
-use iri_core::classifier::Classifier;
 use iri_core::stats::affected::{affected_day, affected_tuples, AffectedDay};
 use iri_core::stats::bins::{instability_filter, ten_minute_bins, SLOTS_PER_DAY};
 use iri_core::stats::breakdown::{breakdown, ClassBreakdown};
@@ -14,10 +12,13 @@ use iri_core::stats::daily::{provider_daily_totals, ProviderDailyRow};
 use iri_core::stats::interarrival::{day_interarrival, DayInterarrival};
 use iri_core::stats::persistence::{episodes, persistence_below};
 use iri_core::taxonomy::UpdateClass;
+use iri_netsim::{SimTime, HOUR, MINUTE};
 use iri_obs::Cause;
+use iri_scenario::{drive_day, DayWindow, ScenarioPack, DEFAULT_CHUNK_MINUTES};
 use iri_topology::asgraph::AsGraph;
-use iri_topology::scenario::{run_day, ScenarioConfig};
+use iri_topology::scenario::{build_day_world, ScenarioConfig};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Configuration for a multi-day experiment.
 #[derive(Debug, Clone)]
@@ -32,15 +33,17 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Default laptop-scale experiment at `scale`, derived from the
-    /// scenario-pack loader (`iri_scenario::Experiment`) — the same
-    /// single source of truth `run_scenario --pack` uses, anchored so
-    /// these defaults are bit-for-bit the historical ones.
+    /// Default laptop-scale experiment at `scale`, derived from
+    /// [`ScenarioPack::default_at`] — the same single source of truth
+    /// `run_scenario --pack` uses, anchored so these defaults are
+    /// bit-for-bit the historical ones.
     #[must_use]
     pub fn at_scale(scale: f64) -> (Self, AsGraph) {
-        let exp = iri_scenario::Experiment::default_at(scale);
-        let graph = AsGraph::generate(&exp.graph);
-        let scenario = exp.scenario;
+        let pack = ScenarioPack::default_at(scale);
+        let graph = AsGraph::generate(&pack.graph_config());
+        let scenario = pack
+            .scenario_config()
+            .expect("default pack has a valid exchange");
         (
             ExperimentConfig {
                 scale,
@@ -105,15 +108,15 @@ pub fn provider_table_shares(graph: &AsGraph, _day: u32) -> BTreeMap<Asn, f64> {
         .collect()
 }
 
-/// Runs one day's simulation and classification, returning the measured
-/// day's classified events (times relative to measurement start), their
-/// aligned causal provenance tags, and the route-server table census.
+/// Runs one day's simulation and classification through
+/// [`drive_day`], returning the measured day's classified events (times
+/// relative to measurement start), their aligned causal provenance tags,
+/// and the route-server table census.
 ///
-/// The classifier is warmed on the full log (including the settling
-/// period) so that per-pair state is correct at measurement start — the
-/// 1996 instrumentation observed continuously, so a withdrawal at 00:01
-/// for a route announced the previous evening is a legitimate Withdraw,
-/// not a spurious WWDup. Only events inside the measured 24 h are kept.
+/// The classifier is warmed on the settling period too, so per-pair
+/// state is correct at measurement start — the 1996 instrumentation
+/// observed continuously, so a withdrawal at 00:01 for a route announced
+/// the previous evening is a legitimate Withdraw, not a spurious WWDup.
 #[must_use]
 pub fn classified_day(
     cfg: &ScenarioConfig,
@@ -124,21 +127,26 @@ pub fn classified_day(
     Vec<Cause>,
     iri_rib::stats::TableCensus,
 ) {
-    let result = run_day(cfg, graph, day);
-    let (all_events, all_causes) = logged_to_events_with_causes(&result.monitor.updates);
-    let mut classifier = Classifier::new();
-    let warmup = result.warmup_ms;
+    let (mut world, rs, _) = build_day_world(cfg, graph, day);
+    let window = DayWindow {
+        warmup_ms: SimTime::from(cfg.warmup_minutes) * MINUTE,
+        measured_ms: 24 * HOUR,
+        chunk_ms: SimTime::from(DEFAULT_CHUNK_MINUTES) * MINUTE,
+    };
     let mut classified = Vec::new();
     let mut causes = Vec::new();
-    for (event, &cause) in all_events.iter().zip(&all_causes) {
-        let mut c = classifier.classify(event);
-        if c.time_ms >= warmup {
-            c.time_ms -= warmup;
+    let Ok(census) = drive_day::<Infallible>(
+        &mut world,
+        rs,
+        window,
+        |c, cause| {
             classified.push(c);
             causes.push(cause);
-        }
-    }
-    (classified, causes, result.census)
+            Ok(())
+        },
+        || Ok(()),
+    );
+    (classified, causes, census)
 }
 
 /// Runs one day end to end and reduces it to a [`DaySummary`].
@@ -198,67 +206,9 @@ pub fn reduce_day(
     }
 }
 
-/// Runs `days` in parallel and returns summaries sorted by day.
-#[must_use]
-pub fn run_days(
-    cfg: &ExperimentConfig,
-    graph: &AsGraph,
-    days: impl Iterator<Item = u32>,
-) -> Vec<DaySummary> {
-    run_days_with_metrics(cfg, graph, days).0
-}
-
-/// [`run_days`], also returning the pipeline's worker telemetry. Days are
-/// dealt to `cfg.threads` workers through `iri-pipeline`'s ordered
-/// parallel map — work-stealing beats the old static chunking when day
-/// lengths are uneven, and the telemetry shows per-worker busy time.
-#[must_use]
-pub fn run_days_with_metrics(
-    cfg: &ExperimentConfig,
-    graph: &AsGraph,
-    days: impl Iterator<Item = u32>,
-) -> (Vec<DaySummary>, iri_pipeline::PipelineMetrics) {
-    let days: Vec<u32> = days.collect();
-    let scenario = &cfg.scenario;
-    iri_pipeline::par_map(days, cfg.threads, |day| summarize_day(scenario, graph, day))
-        .expect("simulation worker panicked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summarize_one_tiny_day() {
-        let (cfg, graph) = ExperimentConfig::at_scale(0.01);
-        let mut scen = cfg.scenario.clone();
-        scen.warmup_minutes = 10;
-        let s = summarize_day(&scen, &graph, 1);
-        assert!(s.total_events > 0);
-        assert_eq!(s.breakdown.total(), s.total_events);
-        assert_eq!(s.cdfs.len(), 4);
-        assert_eq!(s.interarrivals.len(), 4);
-        assert!(!s.provider_rows.is_empty());
-        assert!(s.census.prefixes > 0);
-        assert!((0.0..=1.0).contains(&s.persistence_under_5min));
-    }
-
-    #[test]
-    fn run_days_parallel_matches_serial() {
-        let (mut cfg, graph) = ExperimentConfig::at_scale(0.01);
-        cfg.scenario.warmup_minutes = 10;
-        cfg.threads = 3;
-        let par = run_days(&cfg, &graph, 0..4u32);
-        assert_eq!(par.len(), 4);
-        for (i, s) in par.iter().enumerate() {
-            assert_eq!(s.day, i as u32);
-            let serial = summarize_day(&cfg.scenario, &graph, i as u32);
-            assert_eq!(
-                s.total_events, serial.total_events,
-                "day {i} must be deterministic"
-            );
-        }
-    }
 
     #[test]
     fn table_shares_sum_to_one() {

@@ -3,9 +3,8 @@
 //! withdrawal-storm WWDups must be attributed to the 30 s timer grid, and
 //! the whole instrumented run must stay deterministic.
 
-use iri_bench::{logged_to_events_with_causes, run_pathology, CauseBreakdown};
+use iri_bench::{run_pathology, CauseBreakdown};
 use iri_core::taxonomy::UpdateClass;
-use iri_core::Classifier;
 use iri_netsim::Cause;
 
 const SEED: u64 = 0x1997;
@@ -34,13 +33,7 @@ fn every_monitored_update_has_a_known_cause() {
 
 #[test]
 fn wwdups_attribute_to_the_timer_grid() {
-    let mut scenario = run_pathology(SEED);
-    let monitor = scenario
-        .world
-        .take_monitor(scenario.route_server)
-        .expect("route server is monitored");
-    let (events, causes) = logged_to_events_with_causes(&monitor.updates);
-    let classified = Classifier::new().classify_all(&events);
+    let (classified, causes) = run_pathology(SEED).classified();
     let tally = CauseBreakdown::tally(&classified, &causes);
 
     let wwdups: u64 = Cause::ALL

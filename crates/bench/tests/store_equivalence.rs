@@ -14,26 +14,11 @@ use iri_bench::{
 };
 use iri_core::input::events_from_mrt;
 use iri_mrt::{MrtReader, MrtRecord, MrtWriter};
-use iri_store::{ingest_mrt, IngestConfig, Store};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use iri_store::{diff_dirs, ingest_mrt, DirDiff, IngestConfig, Store};
+use std::path::PathBuf;
 
 fn temp_store_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("iri-equiv-{}-{}", tag, std::process::id()))
-}
-
-/// Sorted (file name → bytes) map of a store directory, for byte-level
-/// comparison across worker counts.
-fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let entry = entry.unwrap();
-        out.insert(
-            entry.file_name().to_string_lossy().into_owned(),
-            std::fs::read(entry.path()).unwrap(),
-        );
-    }
-    out
 }
 
 #[test]
@@ -57,7 +42,7 @@ fn store_reports_are_byte_identical_to_streaming() {
     let sequential = report_from_events(&events).render();
     assert!(sequential.contains("taxonomy breakdown"));
 
-    let mut stores: Vec<BTreeMap<String, Vec<u8>>> = Vec::new();
+    let mut stores: Vec<PathBuf> = Vec::new();
     for jobs in [1usize, 4] {
         let dir = temp_store_dir(&format!("jobs{jobs}"));
         let mut reader = MrtReader::new(log.as_slice());
@@ -84,12 +69,15 @@ fn store_reports_are_byte_identical_to_streaming() {
         );
         assert_eq!(stats.rows_matched, outcome.manifest.total_events);
 
-        stores.push(dir_contents(&dir));
-        std::fs::remove_dir_all(&dir).ok();
+        stores.push(dir);
     }
     // Worker count must not leak into the on-disk bytes.
-    assert_eq!(
-        stores[0], stores[1],
-        "stores written at jobs=1 and jobs=4 must be byte-identical"
+    let diff = diff_dirs(&stores[0], &stores[1]).expect("diff stores");
+    assert!(
+        matches!(diff, DirDiff::Identical { files } if files > 0),
+        "stores written at jobs=1 and jobs=4 must be byte-identical: {diff}"
     );
+    for dir in stores {
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -16,19 +16,21 @@
 //! - [`toml`] — minimal offline TOML parser producing `serde::Value`
 //! - [`pack`] — the pack schema, strict parse, and TOML emitter
 //! - [`faults`] — pack fault schedules → deterministic world injections
+//! - [`day`] — `drive_day`, the one loop that runs a scenario day's world
 //! - [`runner`] — the streaming `ScenarioRunner` and ground-truth scoring
 //! - [`rss`] — `/proc/self/status` memory introspection
 
+pub mod day;
 pub mod faults;
 pub mod pack;
 pub mod rss;
 pub mod runner;
 pub mod toml;
 
+pub use day::{drive_day, logged_events, DayWindow, DEFAULT_CHUNK_MINUTES};
 pub use pack::{
-    Experiment, FaultKind, FaultSpec, LimitsSpec, PackError, PackMeta, RunSpec, ScenarioPack,
-    SyntheticSpec, TopologySpec, TruthSpec, WatchSpec, WorkloadSpec, DEFAULT_PACK_SEED,
-    FORMAT_VERSION,
+    FaultKind, FaultSpec, LimitsSpec, PackError, PackMeta, RunSpec, ScenarioPack, SyntheticSpec,
+    TopologySpec, TruthSpec, WatchSpec, WorkloadSpec, DEFAULT_PACK_SEED, FORMAT_VERSION,
 };
 pub use runner::{
     chain_dir_for, ChainMode, RunError, RunReport, RunnerOptions, ScenarioRunner, Scorecard,

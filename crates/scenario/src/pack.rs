@@ -22,7 +22,7 @@ use iri_netsim::ExchangePoint;
 use iri_obs::incident::IncidentKind;
 use iri_topology::asgraph::GraphConfig;
 use iri_topology::scenario::{IncidentSpec, ScenarioConfig};
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 use std::fmt;
 use std::path::Path;
 
@@ -532,8 +532,8 @@ pub struct ScenarioPack {
 
 impl ScenarioPack {
     /// The baseline pack at `scale`: 1996 workload defaults, one day, no
-    /// faults — the single source of truth `run_scenario --print-default`
-    /// and the experiment harness start from.
+    /// faults — the single source of truth the experiment harness and
+    /// `packs/paper_1996.toml` start from.
     #[must_use]
     pub fn default_at(scale: f64) -> Self {
         ScenarioPack {
@@ -565,7 +565,7 @@ impl ScenarioPack {
             run: RunSpec {
                 start_day: 45,
                 days: 1,
-                chunk_minutes: 10,
+                chunk_minutes: crate::day::DEFAULT_CHUNK_MINUTES,
                 channel_capacity: 8_192,
                 batch_events: 4_096,
                 segment_rows: 65_536,
@@ -865,7 +865,7 @@ impl ScenarioPack {
     }
 
     // -----------------------------------------------------------------
-    // Serialize (for round-trips and `--print-default`)
+    // Serialize (for round-trips and the TOML emitter)
     // -----------------------------------------------------------------
 
     /// The pack as a value tree (the inverse of [`ScenarioPack::from_value`]).
@@ -1178,30 +1178,6 @@ fn emit_toml(root: &Value) -> String {
     out
 }
 
-/// The legacy `run_scenario` experiment file (`{graph, scenario}` JSON),
-/// kept serde-compatible; its defaults now come from the pack loader.
-#[derive(Serialize, Deserialize)]
-pub struct Experiment {
-    /// Topology generator parameters.
-    pub graph: GraphConfig,
-    /// Workload configuration.
-    pub scenario: ScenarioConfig,
-}
-
-impl Experiment {
-    /// The default experiment at `scale`, derived from
-    /// [`ScenarioPack::default_at`] — one source of truth.
-    #[must_use]
-    pub fn default_at(scale: f64) -> Self {
-        let pack = ScenarioPack::default_at(scale);
-        let graph = pack.graph_config();
-        let scenario = pack
-            .scenario_config()
-            .expect("default pack has a valid exchange");
-        Experiment { graph, scenario }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1296,22 +1272,5 @@ mod tests {
         assert_eq!(sc.seed, 7);
         assert_eq!(sc.warmup_minutes, 12);
         assert_eq!(sc.exchange, ExchangePoint::Sprint);
-    }
-
-    #[test]
-    fn experiment_defaults_match_legacy_shape() {
-        let e = Experiment::default_at(0.05);
-        let scaled = GraphConfig::default_scaled(0.05);
-        assert_eq!(e.graph.providers, scaled.providers);
-        assert_eq!(e.graph.prefixes, scaled.prefixes);
-        // Scenario defaults derive from the prefix count and keep the
-        // legacy seed via the default pack seed.
-        let legacy = ScenarioConfig::default_for(e.graph.prefixes);
-        assert_eq!(e.scenario.oscillator_count, legacy.oscillator_count);
-        assert_eq!(e.scenario.seed, legacy.seed);
-        // The anchored derivation: the default pack seed reproduces the
-        // legacy graph seed exactly, so pre-pack experiments are
-        // bit-for-bit reproducible through the pack loader.
-        assert_eq!(e.graph.seed, scaled.seed);
     }
 }

@@ -44,13 +44,12 @@
 //! with the first divergent sequence number, and producing fewer or more
 //! crossings than the recording is an error in both modes.
 
+use crate::day::{drive_day, DayWindow};
 use crate::faults::{apply_faults, DayContext};
 use crate::pack::{PackError, ScenarioPack, TruthSpec};
 use crate::rss::{current_rss_kb, peak_rss_kb};
 use iri_chain::{decode_event, encode_event, ChainError, ChainTape, EntryKind, Genesis, Mark};
 use iri_core::fxhash::FxHasher;
-use iri_core::input::{events_from_update, PeerKey};
-use iri_core::Classifier;
 use iri_faults::SharedFs;
 use iri_netsim::{SimTime, SpillConfig, HOUR, MINUTE};
 use iri_obs::incident::Incident;
@@ -125,13 +124,13 @@ impl Default for RunnerOptions {
 /// the store's recovery scan owns everything inside its own dir.
 #[must_use]
 pub fn chain_dir_for(store_dir: &Path) -> PathBuf {
-    store_dir.with_file_name(format!(
-        "{}-chain",
-        store_dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "store".to_owned())
-    ))
+    sibling_dir(store_dir, "chain")
+}
+
+/// `<store>-<suffix>`, next to the store directory.
+fn sibling_dir(store_dir: &Path, suffix: &str) -> PathBuf {
+    let name = store_dir.file_name().unwrap_or("store".as_ref());
+    store_dir.with_file_name(format!("{}-{suffix}", name.to_string_lossy()))
 }
 
 /// A runner failure.
@@ -638,15 +637,14 @@ impl ScenarioRunner {
         // recovery scan owns everything inside its own dir. Spill images
         // are per-day working state, re-derived on resume, so they are
         // excluded from checkpoints and comparisons.
-        let spill_dir = store_dir.with_file_name(format!(
-            "{}-ribspill",
-            store_dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "store".to_owned())
-        ));
+        let spill_dir = sibling_dir(store_dir, "ribspill");
         let budget_mb = self.rss_budget_mb();
         let warmup_ms = SimTime::from(cfg.warmup_minutes) * MINUTE;
+        let window = DayWindow {
+            warmup_ms,
+            measured_ms: u64::from(hours) * HOUR,
+            chunk_ms: u64::from(pack.run.chunk_minutes) * MINUTE,
+        };
         let lan_base = u32::from(cfg.exchange.lan_base());
 
         let (tx, rx) = crossbeam::channel::bounded::<WriterMsg>(pack.run.channel_capacity);
@@ -781,63 +779,42 @@ impl ScenarioRunner {
                                 working_set: pack.limits.spill_working_set,
                             });
                         }
-                        world.start();
                         // Day `d` of the run lands at [d·24 h, d·24 h + hours).
                         let day_offset = u64::from(run_day) * 24 * HOUR;
-                        let day_end = warmup_ms + u64::from(hours) * HOUR;
-                        let chunk = u64::from(pack.run.chunk_minutes) * MINUTE;
-                        let mut classifier = Classifier::new();
-                        let mut t = 0u64;
-                        while t < day_end {
-                            t = (t + chunk).min(day_end);
-                            world.run_until(t);
-                            let drained = world
-                                .monitor_mut(rs)
-                                .map(|m| std::mem::take(&mut m.updates))
-                                .unwrap_or_default();
-                            for logged in &drained {
-                                let iri_bgp::message::Message::Update(up) = &logged.message else {
-                                    continue;
-                                };
-                                let peer = PeerKey {
-                                    asn: logged.peer_asn,
-                                    addr: logged.peer_addr,
-                                };
-                                for ev in events_from_update(logged.time_ms, peer, up) {
-                                    // Warm the classifier on warmup traffic but
-                                    // only store the measured day.
-                                    let c = classifier.classify(&ev);
-                                    if c.time_ms < warmup_ms {
-                                        continue;
+                        let census = drive_day(
+                            &mut world,
+                            rs,
+                            window,
+                            |c, cause| {
+                                let mut row = StoredEvent::from_classified(&c, cause);
+                                row.time_ms += day_offset;
+                                tx.send(WriterMsg::Event(row)).map_err(hang_up)?;
+                                *events_sent_ref += 1;
+                                Ok(())
+                            },
+                            || {
+                                watcher_ref.poll(store_ref)?;
+                                if budget_mb > 0 {
+                                    let rss_mb = current_rss_kb().unwrap_or(0) / 1024;
+                                    if rss_mb > budget_mb {
+                                        return Err(RunError::RssBudget { rss_mb, budget_mb });
                                     }
-                                    let mut row = StoredEvent::from_classified(&c, logged.cause);
-                                    row.time_ms = row.time_ms - warmup_ms + day_offset;
-                                    tx.send(WriterMsg::Event(row)).map_err(hang_up)?;
-                                    *events_sent_ref += 1;
                                 }
-                            }
-                            watcher_ref.poll(store_ref)?;
-                            if budget_mb > 0 {
-                                let rss_mb = current_rss_kb().unwrap_or(0) / 1024;
-                                if rss_mb > budget_mb {
-                                    return Err(RunError::RssBudget { rss_mb, budget_mb });
+                                chunks_done += 1;
+                                if self.opts.stop_after_chunks == Some(chunks_done) {
+                                    return Err(RunError::Stopped {
+                                        chunks: chunks_done,
+                                    });
                                 }
-                            }
-                            chunks_done += 1;
-                            if self.opts.stop_after_chunks == Some(chunks_done) {
-                                return Err(RunError::Stopped {
-                                    chunks: chunks_done,
-                                });
-                            }
-                        }
+                                Ok(())
+                            },
+                        )?;
                         if let Some(stats) = world.spill_stats() {
                             spill_ref.spills += stats.spills;
                             spill_ref.restores += stats.restores;
                             spill_ref.bytes_written += stats.bytes_written;
                             spill_ref.bytes_read += stats.bytes_read;
                         }
-                        world.ensure_resident(rs);
-                        let census = iri_rib::stats::census(world.router(rs).loc_rib());
                         *census_ref = census.prefixes;
                         tx.send(WriterMsg::Mark(Mark::Checkpoint {
                             run_day,

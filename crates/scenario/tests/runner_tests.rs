@@ -8,7 +8,6 @@
 
 use iri_scenario::runner::{RunError, RunnerOptions, ScenarioRunner};
 use iri_scenario::{FaultKind, FaultSpec, ScenarioPack};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -23,27 +22,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every file under `dir` (recursively), relative path → contents.
-fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    fn walk(base: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-        for entry in std::fs::read_dir(dir).expect("read_dir") {
-            let entry = entry.expect("dir entry");
-            let path = entry.path();
-            if path.is_dir() {
-                walk(base, &path, out);
-            } else {
-                let rel = path
-                    .strip_prefix(base)
-                    .expect("under base")
-                    .to_string_lossy()
-                    .into_owned();
-                out.insert(rel, std::fs::read(&path).expect("read file"));
-            }
-        }
+/// Asserts two stores hold byte-identical committed files.
+fn assert_same_store(a: &Path, b: &Path, what: &str) {
+    match iri_store::diff_dirs(a, b).expect("diff stores") {
+        iri_store::DirDiff::Identical { files } => assert!(files > 0, "{what}: empty store"),
+        d => panic!("{what}: {d}"),
     }
-    let mut out = BTreeMap::new();
-    walk(dir, dir, &mut out);
-    out
 }
 
 fn tiny_pack() -> ScenarioPack {
@@ -98,16 +82,7 @@ fn same_pack_and_seed_give_byte_identical_stores_at_any_jobs() {
         .expect("run jobs=4");
     assert_eq!(r1.events_written, r4.events_written);
     assert_eq!(r1.store_generation, r4.store_generation);
-    let b1 = dir_bytes(&d1);
-    let b4 = dir_bytes(&d4);
-    assert_eq!(
-        b1.keys().collect::<Vec<_>>(),
-        b4.keys().collect::<Vec<_>>(),
-        "store file sets differ"
-    );
-    for (name, bytes) in &b1 {
-        assert_eq!(bytes, &b4[name], "store file {name} differs across --jobs");
-    }
+    assert_same_store(&d1, &d4, "stores differ across --jobs");
     let _ = std::fs::remove_dir_all(&d1);
     let _ = std::fs::remove_dir_all(&d4);
 }
@@ -144,14 +119,7 @@ fn rib_spill_does_not_change_the_event_stream() {
         plain.events_written, spilled.events_written,
         "spill changed the event count"
     );
-    let b_plain = dir_bytes(&d_plain);
-    let b_spill = dir_bytes(&d_spill);
-    for (name, bytes) in &b_plain {
-        assert_eq!(
-            bytes, &b_spill[name],
-            "store file {name} differs under spill"
-        );
-    }
+    assert_same_store(&d_plain, &d_spill, "store differs under spill");
     let _ = std::fs::remove_dir_all(&d_plain);
     let _ = std::fs::remove_dir_all(&d_spill);
 }
@@ -182,11 +150,7 @@ fn faulted_pack_changes_the_stream_deterministically() {
         .run(&d2)
         .expect("faulted rerun");
     assert_eq!(r1.events_written, r2.events_written);
-    let b1 = dir_bytes(&d1);
-    let b2 = dir_bytes(&d2);
-    for (name, bytes) in &b1 {
-        assert_eq!(bytes, &b2[name], "faulted store {name} not reproducible");
-    }
+    assert_same_store(&d1, &d2, "faulted store not reproducible");
     let _ = std::fs::remove_dir_all(&d1);
     let _ = std::fs::remove_dir_all(&d2);
 }

@@ -4,6 +4,8 @@
 //! drift before CI does.
 
 use iri_scenario::ScenarioPack;
+use iri_topology::asgraph::GraphConfig;
+use iri_topology::scenario::ScenarioConfig;
 use std::path::PathBuf;
 
 fn packs_dir() -> PathBuf {
@@ -52,9 +54,21 @@ fn every_seed_pack_parses_and_configures() {
 #[test]
 fn baseline_pack_reproduces_the_legacy_experiment() {
     let pack = ScenarioPack::load(&packs_dir().join("paper_1996.toml")).expect("load");
-    let legacy = iri_scenario::Experiment::default_at(0.05);
-    assert_eq!(pack.graph_config().seed, legacy.graph.seed);
-    assert_eq!(pack.graph_config().prefixes, legacy.graph.prefixes);
-    let cfg = pack.scenario_config().expect("config");
-    assert_eq!(cfg.seed, legacy.scenario.seed);
+    // The anchored derivation: the default pack seed reproduces the
+    // pre-pack graph seed and scenario defaults exactly, for the seed
+    // pack and for the figure harness's `ScenarioPack::default_at`.
+    let scaled = GraphConfig::default_scaled(0.05);
+    for pack in [pack, ScenarioPack::default_at(0.05)] {
+        let graph = pack.graph_config();
+        assert_eq!(
+            (graph.seed, graph.providers, graph.prefixes),
+            (scaled.seed, scaled.providers, scaled.prefixes)
+        );
+        let cfg = pack.scenario_config().expect("config");
+        let legacy = ScenarioConfig::default_for(graph.prefixes);
+        assert_eq!(
+            (cfg.seed, cfg.oscillator_count),
+            (legacy.seed, legacy.oscillator_count)
+        );
+    }
 }

@@ -8,7 +8,7 @@
 //! still-open connections are refused with `ShuttingDown` by the core.
 
 use crate::service::ServeCore;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -17,6 +17,12 @@ use std::time::Duration;
 
 /// How often blocked reads wake to check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Longest request line a connection buffers, in bytes. A longer line is
+/// refused with a typed error and discarded, so no client can grow a
+/// connection's memory without bound. Far above the largest request an
+/// in-repo client sends (a 512-event append is well under 1 MiB).
+pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// A listening query service over one [`ServeCore`].
 #[derive(Debug)]
@@ -31,26 +37,46 @@ pub struct Server {
 fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut writer = stream.try_clone()?;
+    // One write per reply line: a separate write for the newline would
+    // stall on Nagle's algorithm against the client's delayed ACK.
+    let mut reply = |mut out: String| {
+        out.push('\n');
+        writer.write_all(out.as_bytes())?;
+        writer.flush()
+    };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The request line read so far. It outlives the read-timeout poll
+    // tick, so a line that arrives in pieces is resumed, not dropped.
+    let mut line: Vec<u8> = Vec::new();
+    // The current line passed the cap and was refused; the rest of it is
+    // discarded up to its newline.
+    let mut skipping = false;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // `line` never holds more than the cap here, so `room` is >= 1.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        let read = if skipping {
+            reader.skip_until(b'\n')
+        } else {
+            (&mut reader).take(room).read_until(b'\n', &mut line)
+        };
+        match read {
             Ok(0) => return Ok(()),
+            Ok(_) if skipping => skipping = false,
+            Ok(_) if line.len() > MAX_LINE_BYTES => {
+                reply(core.refuse_line(format!("request line exceeds {MAX_LINE_BYTES} bytes")))?;
+                skipping = line.last() != Some(&b'\n');
+                line.clear();
+            }
             Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
+                match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => {}
+                    Ok(request) => reply(core.handle_line(request))?,
+                    Err(e) => reply(core.refuse_line(format!("request line is not UTF-8: {e}")))?,
                 }
-                let mut out = core.handle_line(trimmed);
-                out.push('\n');
-                writer.write_all(out.as_bytes())?;
-                writer.flush()?;
+                line.clear();
             }
             // A read timeout is the poll tick; anything else ends the
-            // connection. (Partial lines at timeout are impossible to
-            // resume with read_line's buffer semantics only if the
-            // client writes whole lines — which the protocol requires.)
+            // connection.
             Err(e)
                 if matches!(
                     e.kind(),

@@ -358,22 +358,25 @@ impl ServeCore {
     /// trailing newline). Malformed JSON maps to an `Error` with code
     /// [`CODE_JSON`] and id 0.
     pub fn handle_line(&self, line: &str) -> String {
-        let reply = match serde_json::from_str::<Request>(line) {
-            Ok(req) => self.handle(req),
-            Err(e) => {
-                self.count(self.meters.parse_errors);
-                Reply {
-                    id: 0,
-                    resp: Response::Error {
-                        code: CODE_JSON,
-                        message: format!("bad request line: {e}"),
-                    },
-                    plan: None,
-                }
-            }
-        };
-        serde_json::to_string(&reply)
-            .unwrap_or_else(|e| format!("{{\"id\":0,\"resp\":{{\"Error\":{{\"code\":6,\"message\":\"render failed: {e}\"}}}}}}"))
+        match serde_json::from_str::<Request>(line) {
+            Ok(req) => render(&self.handle(req)),
+            Err(e) => self.refuse_line(format!("bad request line: {e}")),
+        }
+    }
+
+    /// Renders the reply to a request line that cannot be served at all
+    /// (malformed, not UTF-8, over the length cap): an `Error` with code
+    /// [`CODE_JSON`] and id 0, counted as a parse error.
+    pub(crate) fn refuse_line(&self, message: String) -> String {
+        self.count(self.meters.parse_errors);
+        render(&Reply {
+            id: 0,
+            resp: Response::Error {
+                code: CODE_JSON,
+                message,
+            },
+            plan: None,
+        })
     }
 
     /// Handles one parsed request.
@@ -723,6 +726,15 @@ impl ServeCore {
         }
         resp
     }
+}
+
+/// One reply line (no trailing newline).
+fn render(reply: &Reply) -> String {
+    serde_json::to_string(reply).unwrap_or_else(|e| {
+        format!(
+            "{{\"id\":0,\"resp\":{{\"Error\":{{\"code\":6,\"message\":\"render failed: {e}\"}}}}}}"
+        )
+    })
 }
 
 fn dur_us(d: Duration) -> u64 {

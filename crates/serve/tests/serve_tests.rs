@@ -8,11 +8,16 @@ use iri_core::classifier::Classifier;
 use iri_core::taxonomy::UpdateClass;
 use iri_faults::{FaultPlan, FaultyFs, RetryPolicy};
 use iri_obs::Cause;
+use iri_serve::proto::CODE_JSON;
+use iri_serve::server::MAX_LINE_BYTES;
 use iri_serve::{
-    Client, Command, Filter, Response, ServeCore, ServeOptions, Server, StatsBody, WireEvent,
+    Client, Command, Filter, Reply, Request, Response, ServeCore, ServeOptions, Server, StatsBody,
+    WireEvent,
 };
 use iri_store::{LiveOptions, LiveStore, Query, Store, StoredEvent};
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -697,4 +702,58 @@ fn tcp_round_trip_and_graceful_drain() {
         "drained server closed the connection"
     );
     assert!(Client::connect(&addr).is_err(), "listener is closed");
+}
+
+fn raw_reply(reader: &mut BufReader<TcpStream>) -> Reply {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read reply");
+    serde_json::from_str(&line).unwrap_or_else(|e| panic!("reply {line:?}: {e}"))
+}
+
+fn ping_line(id: u64) -> Vec<u8> {
+    let req = Request {
+        id,
+        cmd: Command::Ping,
+    };
+    (serde_json::to_string(&req).expect("render request") + "\n").into_bytes()
+}
+
+#[test]
+fn request_lines_resume_across_poll_ticks_and_are_capped() {
+    let dir = temp_store_dir("lines");
+    let server =
+        Server::bind(open_core(&dir, &ServeOptions::default()), "127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+
+    // A request split across the server's read-timeout poll tick.
+    let line = ping_line(7);
+    let (head, tail) = line.split_at(line.len() / 2);
+    stream.write_all(head).expect("send head");
+    std::thread::sleep(std::time::Duration::from_millis(250));
+    stream.write_all(tail).expect("send tail");
+    let reply = raw_reply(&mut reader);
+    assert_eq!((reply.id, reply.resp), (7, Response::Pong));
+
+    // A line past the cap is refused once it crosses it, and the rest
+    // of it is discarded rather than buffered.
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..=MAX_LINE_BYTES / chunk.len() {
+        stream.write_all(&chunk).expect("send overlong line");
+    }
+    stream.write_all(b"\n").expect("end overlong line");
+    let reply = raw_reply(&mut reader);
+    match reply.resp {
+        Response::Error { code, message } if reply.id == 0 => {
+            assert_eq!(code, CODE_JSON);
+            assert!(message.contains("exceeds"), "{message}");
+        }
+        other => panic!("overlong line answered {other:?}"),
+    }
+    // The connection resynchronises at the newline.
+    stream.write_all(&ping_line(8)).expect("send ping");
+    let reply = raw_reply(&mut reader);
+    assert_eq!((reply.id, reply.resp), (8, Response::Pong));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -44,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+pub mod diff;
 pub mod durable;
 pub mod ingest;
 pub mod live;
@@ -61,6 +62,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
+pub use diff::{diff_dirs, DirDiff};
 pub use durable::{CommitStep, QuarantinedFile, Recovery, JOURNAL_FILE, QUARANTINE_DIR};
 pub use ingest::{
     compact, compact_with, compact_with_opts, ingest_mrt, CompactOptions, CompactReport,

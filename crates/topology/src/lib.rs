@@ -14,8 +14,8 @@
 //!   maintenance line, Saturday spikes, the summer lull, a linear growth
 //!   trend, and the end-of-May infrastructure-upgrade incident.
 //! - [`growth`] — the linear multihoming growth of Figure 10.
-//! - [`scenario`] — the driver gluing a graph + calendar day into an
-//!   `iri-netsim` world and returning the monitor log and table census.
+//! - [`scenario`] — `build_day_world`, which turns a graph + calendar day
+//!   into an `iri-netsim` world with the day's events scheduled.
 
 #![warn(missing_docs)]
 
@@ -27,4 +27,4 @@ pub mod scenario;
 
 pub use asgraph::{AsGraph, CustomerSpec, GraphConfig, ProviderSpec};
 pub use events::{Calendar, UsageModel, Weekday};
-pub use scenario::{DayResult, ScenarioConfig};
+pub use scenario::ScenarioConfig;

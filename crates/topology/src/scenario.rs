@@ -3,9 +3,9 @@
 //! This is the bridge between the workload model and the packet-level
 //! simulator. For a given [`crate::asgraph::AsGraph`] and day index it
 //! builds an `iri-netsim` world (route server + provider border routers,
-//! customer prefixes originated with customer-AS paths), injects the day's
-//! exogenous events drawn from the [`crate::events::UsageModel`], runs the
-//! day, and returns the monitor log plus a routing-table census.
+//! customer prefixes originated with customer-AS paths) and injects the
+//! day's exogenous events drawn from the [`crate::events::UsageModel`].
+//! Running the day is `iri_scenario::drive_day`'s job.
 //!
 //! Event taxonomy injected (mapping to the paper's update classes as seen
 //! at the monitored route server):
@@ -21,7 +21,7 @@
 //! | upgrade-incident session flaps          | mass withdrawals + state dumps |
 //!
 //! Each day runs `warmup_minutes` of settling time before the measured
-//! 24 hours; analysis consumes [`DayResult::events_after_warmup`].
+//! 24 hours; only the measured span is analysed.
 
 use crate::asgraph::AsGraph;
 use crate::events::{Calendar, UsageModel};
@@ -29,11 +29,9 @@ use iri_bgp::attrs::{Origin, PathAttributes};
 use iri_bgp::path::AsPath;
 use iri_bgp::types::Asn;
 use iri_netsim::engine::{MINUTE, SECOND};
-use iri_netsim::monitor::{LoggedUpdate, Monitor};
 use iri_netsim::router::RouterId;
 use iri_netsim::world::World;
 use iri_netsim::{build_exchange, CsuFault, ExchangePoint, RouterConfig, SimTime};
-use iri_rib::stats::TableCensus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -102,51 +100,6 @@ impl ScenarioConfig {
             damping: false,
             incident: None,
         }
-    }
-}
-
-/// The output of one simulated day.
-pub struct DayResult {
-    /// Day index (0 = Monday 1 April 1996).
-    pub day: u32,
-    /// Offset of measured time 0 within the raw log.
-    pub warmup_ms: SimTime,
-    /// The route-server monitor, raw (includes warmup).
-    pub monitor: Monitor,
-    /// Routing-table census at end of day.
-    pub census: TableCensus,
-    /// (provider name, ASN, counters) per provider.
-    pub provider_counters: Vec<(String, Asn, iri_netsim::RouterCounters)>,
-    /// World-level delivery stats.
-    pub world_stats: iri_netsim::WorldStats,
-}
-
-impl DayResult {
-    /// Logged updates within the measured 24 h, timestamps re-based to
-    /// midnight = 0.
-    #[must_use]
-    pub fn events_after_warmup(&self) -> Vec<LoggedUpdate> {
-        self.monitor
-            .updates
-            .iter()
-            .filter(|u| u.time_ms >= self.warmup_ms)
-            .map(|u| LoggedUpdate {
-                time_ms: u.time_ms - self.warmup_ms,
-                ..u.clone()
-            })
-            .collect()
-    }
-
-    /// Total prefix events in the measured window.
-    #[must_use]
-    pub fn measured_prefix_events(&self) -> u64 {
-        self.events_after_warmup()
-            .iter()
-            .map(|u| match &u.message {
-                iri_bgp::message::Message::Update(up) => up.prefix_event_count() as u64,
-                _ => 0,
-            })
-            .sum()
     }
 }
 
@@ -232,8 +185,6 @@ pub fn build_day_world(
     for c in &graph.customers {
         for (pi, &prov_idx) in c.providers_on_day(day).iter().enumerate() {
             let router = ex.providers[prov_idx];
-            let addr = graph.providers[prov_idx].asn;
-            let _ = addr;
             let provider_addr = std::net::Ipv4Addr::from(base + 1 + prov_idx as u32);
             let mut attrs = customer_attrs(c.asn, provider_addr);
             // Secondary paths carry a slightly longer path (the customer
@@ -567,48 +518,9 @@ fn inject_event(
     }
 }
 
-/// Runs one full day and collects results.
-#[must_use]
-pub fn run_day(cfg: &ScenarioConfig, graph: &AsGraph, day: u32) -> DayResult {
-    let (mut world, rs, providers) = build_day_world(cfg, graph, day);
-    let warmup_ms = SimTime::from(cfg.warmup_minutes) * MINUTE;
-    world.start();
-    world.run_until(warmup_ms + 24 * iri_netsim::HOUR);
-    let census = iri_rib::stats::census(world.router(rs).loc_rib());
-    let provider_counters = providers
-        .iter()
-        .map(|&p| {
-            let r = world.router(p);
-            (r.cfg.name.clone(), r.cfg.asn, r.counters.clone())
-        })
-        .collect();
-    let world_stats = world.stats.clone();
-    let monitor = world.take_monitor(rs).expect("route server is monitored");
-    DayResult {
-        day,
-        warmup_ms,
-        monitor,
-        census,
-        provider_counters,
-        world_stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asgraph::GraphConfig;
-
-    fn tiny_graph() -> AsGraph {
-        AsGraph::generate(&GraphConfig::default_scaled(0.01))
-    }
-
-    fn tiny_cfg(graph: &AsGraph) -> ScenarioConfig {
-        let mut c = ScenarioConfig::default_for(graph.prefix_count());
-        c.warmup_minutes = 10;
-        c.oscillator_count = 2;
-        c
-    }
 
     #[test]
     fn poisson_mean_is_close() {
@@ -624,67 +536,5 @@ mod tests {
         }
         assert_eq!(poisson(&mut rng, 0.0), 0);
         assert_eq!(poisson(&mut rng, -3.0), 0);
-    }
-
-    #[test]
-    fn run_day_produces_updates_and_census() {
-        let graph = tiny_graph();
-        let cfg = tiny_cfg(&graph);
-        let result = run_day(&cfg, &graph, 1);
-        assert!(result.measured_prefix_events() > 0, "day must show updates");
-        // A handful of prefixes may end the day mid-flap (withdrawn with
-        // the re-announcement scheduled past midnight).
-        assert!(result.census.prefixes <= graph.prefix_count());
-        assert!(
-            result.census.prefixes as f64 >= graph.prefix_count() as f64 * 0.95,
-            "census {} of {}",
-            result.census.prefixes,
-            graph.prefix_count()
-        );
-        assert_eq!(result.provider_counters.len(), graph.providers.len());
-        // Warmup events are excluded and timestamps re-based.
-        for u in result.events_after_warmup() {
-            assert!(u.time_ms <= 24 * iri_netsim::HOUR);
-        }
-    }
-
-    #[test]
-    fn run_day_is_deterministic() {
-        let graph = tiny_graph();
-        let cfg = tiny_cfg(&graph);
-        let a = run_day(&cfg, &graph, 2);
-        let b = run_day(&cfg, &graph, 2);
-        assert_eq!(a.measured_prefix_events(), b.measured_prefix_events());
-        assert_eq!(a.monitor.updates.len(), b.monitor.updates.len());
-    }
-
-    #[test]
-    fn weekend_day_is_lighter_than_weekday() {
-        let graph = tiny_graph();
-        let mut cfg = tiny_cfg(&graph);
-        cfg.oscillator_count = 0; // compare exogenous workload only
-                                  // Day 2 (Wed) vs day 6 (Sun).
-        let wed = run_day(&cfg, &graph, 2).measured_prefix_events();
-        let sun = run_day(&cfg, &graph, 6).measured_prefix_events();
-        assert!(
-            (sun as f64) < (wed as f64) * 0.9,
-            "weekend {sun} must be lighter than weekday {wed}"
-        );
-    }
-
-    #[test]
-    fn multihomed_census_grows_with_day() {
-        let graph = AsGraph::generate(&GraphConfig::default_scaled(0.02));
-        let mut cfg = tiny_cfg(&graph);
-        cfg.base_events_per_slot = 0.5;
-        cfg.oscillator_count = 0;
-        let early = run_day(&cfg, &graph, 0);
-        let late = run_day(&cfg, &graph, 200);
-        assert!(
-            late.census.multihomed > early.census.multihomed,
-            "{} vs {}",
-            late.census.multihomed,
-            early.census.multihomed
-        );
     }
 }
