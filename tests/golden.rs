@@ -6,6 +6,9 @@
 //!   boundary chain recording, must end at its committed chain head. The
 //!   head commits to every classified event, fault draw, day boundary
 //!   and end-of-day checkpoint, so it pins the whole input stream.
+//! - The store that same run leaves behind (appends plus the end-of-run
+//!   live compaction) must hash to its committed digest: the storage
+//!   path's byte-identity oracle.
 //! - One tiny-scale [`summarize_day`] must reduce to its committed
 //!   digest over the class breakdown, the ten-minute bins, the provider
 //!   rows, the table census and the peak rate: the figure path.
@@ -28,6 +31,16 @@ const PACK_HEADS: [(&str, &str); 5] = [
     ("worm_outbreak", "9d3f341c76c47d17"),
 ];
 
+/// FxHash digests of the store directory each seed-pack hour leaves
+/// behind, over its committed files (see [`store_digest`]).
+const PACK_STORE_DIGESTS: [(&str, u64); 5] = [
+    ("community_churn", 0x8f8f_7a62_ccf3_5bab),
+    ("link_failures", 0x3032_fbd4_48bc_b3ef),
+    ("paper_1996", 0x39a5_befc_a960_434f),
+    ("quiet", 0xc4a2_8568_6cf4_b6cc),
+    ("worm_outbreak", 0x53e3_6e3c_883c_932a),
+];
+
 /// Digest of the tiny-scale day in [`tiny_day_summary_digest_is_pinned`].
 const SUMMARY_DIGEST: u64 = 0x71c3_64ce_81d0_c38a;
 
@@ -40,10 +53,44 @@ fn remove_run(store: &Path) {
     }
 }
 
+/// Adds the files under `dir` to `out` by `/`-separated relative path,
+/// skipping the root's `retired/` and `quarantine/` directories the way
+/// `iri_store::diff_dirs` does: they are not committed state.
+fn committed_files(dir: &Path, prefix: &str, out: &mut Vec<(String, PathBuf)>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = format!("{prefix}{}", path.file_name().unwrap().to_string_lossy());
+        if !path.is_dir() {
+            out.push((name, path));
+        } else if !(prefix.is_empty()
+            && (name == iri_store::RETIRED_DIR || name == iri_store::QUARANTINE_DIR))
+        {
+            committed_files(&path, &format!("{name}/"), out);
+        }
+    }
+}
+
+/// FxHash over the sorted relative paths and bytes of a store's
+/// committed files.
+fn store_digest(dir: &Path) -> u64 {
+    let mut files = Vec::new();
+    committed_files(dir, "", &mut files);
+    files.sort();
+    let mut h = FxHasher::default();
+    for (name, path) in files {
+        let bytes = std::fs::read(&path).unwrap();
+        h.write(name.as_bytes());
+        h.write_u64(bytes.len() as u64);
+        h.write(&bytes);
+    }
+    h.finish()
+}
+
 #[test]
 fn seed_pack_chain_heads_are_pinned() {
     let packs = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("packs");
     let mut got = Vec::new();
+    let mut digests = Vec::new();
     for (name, _) in PACK_HEADS {
         let pack = ScenarioPack::load(&packs.join(format!("{name}.toml")))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -60,6 +107,7 @@ fn seed_pack_chain_heads_are_pinned() {
         )
         .run(&store)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
+        digests.push((name, store_digest(&store)));
         remove_run(&store);
         got.push((name, report.chain_head.expect("recorded run has a head")));
     }
@@ -67,6 +115,10 @@ fn seed_pack_chain_heads_are_pinned() {
         got,
         PACK_HEADS.map(|(n, h)| (n, h.to_owned())),
         "a chain head moved"
+    );
+    assert_eq!(
+        digests, PACK_STORE_DIGESTS,
+        "a pack's store bytes moved (got {digests:#x?})"
     );
 }
 
