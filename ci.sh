@@ -24,6 +24,9 @@ cargo fmt --check
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 
+echo "==> perfbench tiny-scale self-test (builds the benchmark against the workspace crates)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-injection suite (crash matrix, retries, corruption properties)"
 cargo test -q -p iri-store --test fault_injection
 

@@ -1,24 +1,35 @@
-//! Durability: the atomic commit protocol, the manifest journal, and
+//! Durability: the one store transaction, the manifest journal, and
 //! crash recovery.
 //!
-//! ## Commit protocol
+//! ## The transaction
 //!
-//! Every store commit — `ingest_mrt`, `StoreWriter::commit`, `compact` —
-//! walks the same five steps, each marked by a
-//! [`CommitStep`] checkpoint the fault injector can kill at:
+//! Every mutation of a store directory — `ingest_mrt`,
+//! `StoreWriter::create` + `commit`, `LiveStore::append_events`, and
+//! compaction — is one `Transaction` of three steps:
 //!
-//! 1. **Begin** — a `begin` record naming the new generation is written
-//!    to `MANIFEST.journal` and fsynced *before* any store file is
-//!    touched.
-//! 2. **SegmentsDurable** — every segment was written to `*.seg.tmp`,
-//!    fsynced, renamed to `*.seg`, and the directory fsynced.
-//! 3. **JournalSealed** — a `commit` record carrying the full manifest
-//!    (plus its checksum) is appended to the journal and fsynced. *This
-//!    is the commit point*: recovery from any later crash reproduces
-//!    the committed store.
-//! 4. **ManifestPublished** — `MANIFEST.json` is written to a temp
-//!    file, fsynced, and renamed into place.
-//! 5. **JournalRetired** — the journal is removed.
+//! 1. **Begin** — the caller names the new generation; a `begin` record
+//!    carrying it is written to `MANIFEST.journal` and fsynced *before*
+//!    any store file is touched ([`CommitStep::Begin`]).
+//! 2. **Replace** — every committed segment the mutation displaces is
+//!    *renamed* into `retired/g<gen>/`. Nothing else is deleted or
+//!    overwritten before the seal: new segments land at names no
+//!    committed file holds any more, `MANIFEST.json` changes only in the
+//!    publish step, and only stale `*.tmp` debris may be removed.
+//! 3. **Seal** — the commit protocol proper, each step a [`CommitStep`]
+//!    checkpoint the fault injector can kill at:
+//!    - **SegmentsDurable** — every segment was written to `*.seg.tmp`,
+//!      renamed to `*.seg`, and fsynced, and the directory fsynced.
+//!    - **JournalSealed** — a `commit` record carrying the full manifest
+//!      (plus its checksum) is appended to the journal and fsynced.
+//!      *This is the commit point*: recovery from any later crash
+//!      reproduces the committed store.
+//!    - **ManifestPublished** — `MANIFEST.json` is written to a temp
+//!      file, fsynced, and renamed into place.
+//!    - **JournalRetired** — the journal is removed.
+//!
+//! Afterwards the caller reclaims `retired/g<gen>/`: the offline entry
+//! points at once (`reclaim`), `LiveStore` once no pinned reader still
+//! needs the files.
 //!
 //! ## Recovery
 //!
@@ -26,22 +37,24 @@
 //! for truth — truth is the newest of (valid `MANIFEST.json`, valid
 //! journal `commit` record), by generation. Every segment the chosen
 //! manifest references is checksum-verified and cross-checked against
-//! its entry; failures are moved to `quarantine/` and dropped from the
-//! manifest (default) or returned as errors (strict). Files the chosen
-//! manifest does *not* reference — torn `*.tmp` leftovers, orphan
-//! segments from a dead ingest — are quarantined too. A `begin` record
-//! with no `commit` means the crash predates the commit point: the
-//! previous store (or the empty store, for a first ingest) is the
-//! recovered state — all-or-previous atomicity.
+//! its entry; a mismatching or missing file is first looked for in the
+//! retired tree — a crash before the seal leaves every displaced
+//! segment there — and otherwise moved to `quarantine/` and dropped
+//! from the manifest (default) or returned as an error (strict). Files
+//! the chosen manifest does *not* reference — torn `*.tmp` leftovers,
+//! segments of a commit that never sealed — are quarantined too. So a
+//! `begin` record with no `commit` recovers the previous store (the
+//! empty store, for a first ingest): all-or-previous atomicity for
+//! every mutation.
 
-use crate::query::{build_manifest, parse_manifest, Manifest};
-use crate::{StoreError, DEFAULT_SEGMENT_ROWS, MANIFEST_FILE};
+use crate::query::{build_manifest, parse_manifest, Manifest, SegmentMeta};
+use crate::{StoreError, DEFAULT_SEGMENT_ROWS, MANIFEST_FILE, RETIRED_DIR};
 use iri_core::fxhash::FxHasher;
-use iri_faults::StoreFs;
+use iri_faults::{SharedFs, StoreFs};
 use serde::{Deserialize, Serialize};
 use std::hash::Hasher;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 pub use iri_faults::CommitStep;
 
@@ -120,10 +133,8 @@ fn encode_record(rec: &JournalRecord) -> Result<Vec<u8>, StoreError> {
     Ok(line.into_bytes())
 }
 
-/// Writes (truncating any stale journal) and fsyncs the `begin` record:
-/// step 1 of the commit protocol. Must precede any mutation of the
-/// store directory.
-pub(crate) fn journal_begin(
+/// Writes (truncating any stale journal) and fsyncs the `begin` record.
+fn journal_begin(
     fs: &dyn StoreFs,
     dir: &Path,
     generation: u64,
@@ -187,14 +198,9 @@ fn retire_journal(fs: &dyn StoreFs, dir: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Steps 2–5 of the commit protocol, after the caller has made every
-/// segment file durable under its final name. Returns the manifest it
-/// published.
-pub(crate) fn commit(
-    fs: &dyn StoreFs,
-    dir: &Path,
-    manifest: Manifest,
-) -> Result<Manifest, StoreError> {
+/// The seal, after every segment file is durable under its final name.
+/// Returns the manifest it published.
+fn commit(fs: &dyn StoreFs, dir: &Path, manifest: Manifest) -> Result<Manifest, StoreError> {
     let step = |s: CommitStep| fs.checkpoint(s).map_err(|e| io_at(dir, e));
     fs.sync_dir(dir).map_err(|e| io_at(dir, e))?;
     step(CommitStep::SegmentsDurable)?;
@@ -205,6 +211,95 @@ pub(crate) fn commit(
     retire_journal(fs, dir)?;
     step(CommitStep::JournalRetired)?;
     Ok(manifest)
+}
+
+/// The directory a commit of generation `gen` parks replaced segments
+/// in: `retired/g<gen>`, zero-padded so lexicographic order is
+/// generation order.
+pub(crate) fn retired_dir_for(dir: &Path, gen: u64) -> PathBuf {
+    dir.join(RETIRED_DIR).join(format!("g{gen:010}"))
+}
+
+/// One mutation of a store directory, from its journaled intent to its
+/// seal (see the module docs). Dropping a transaction unsealed leaves
+/// the directory for recovery to roll back to the previous store.
+#[derive(Debug)]
+pub(crate) struct Transaction {
+    pub(crate) fs: SharedFs,
+    pub(crate) dir: PathBuf,
+    /// Named by the journaled `begin` record, so fixed for the seal.
+    generation: u64,
+    /// Rows per segment in the manifest the seal commits.
+    pub(crate) segment_rows: u32,
+}
+
+impl Transaction {
+    /// Begin: journals the intent to commit `generation`, whose manifest
+    /// will carry `segment_rows`, before anything in `dir` is touched.
+    pub(crate) fn begin(
+        fs: SharedFs,
+        dir: &Path,
+        generation: u64,
+        segment_rows: u32,
+    ) -> Result<Self, StoreError> {
+        journal_begin(&*fs, dir, generation, segment_rows)?;
+        fs.checkpoint(CommitStep::Begin)
+            .map_err(|e| io_at(dir, e))?;
+        Ok(Transaction {
+            fs,
+            dir: dir.to_path_buf(),
+            generation,
+            segment_rows,
+        })
+    }
+
+    /// Replace: moves the committed segment `file` into
+    /// `retired/g<gen>/`, where recovery finds it if the seal never
+    /// lands, and returns its new path.
+    pub(crate) fn retire(&self, file: &str) -> Result<PathBuf, StoreError> {
+        let rdir = retired_dir_for(&self.dir, self.generation);
+        self.fs.create_dir_all(&rdir).map_err(|e| io_at(&rdir, e))?;
+        let (src, dest) = (self.dir.join(file), rdir.join(file));
+        self.fs.rename(&src, &dest).map_err(|e| io_at(&src, e))?;
+        Ok(dest)
+    }
+
+    /// Replace for a whole-store rewrite: retires every segment and
+    /// removes stale `*.tmp` debris of earlier interrupted commits.
+    pub(crate) fn retire_all(&self) -> Result<(), StoreError> {
+        for name in self.fs.list(&self.dir).map_err(|e| io_at(&self.dir, e))? {
+            if name.ends_with(".seg") {
+                self.retire(&name)?;
+            } else if name.ends_with(".tmp") {
+                let path = self.dir.join(&name);
+                self.fs.remove(&path).map_err(|e| io_at(&path, e))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Seal: commits `segments` as the store's new manifest.
+    pub(crate) fn seal(
+        self,
+        segments: Vec<SegmentMeta>,
+        records_read: u64,
+    ) -> Result<Manifest, StoreError> {
+        let manifest = build_manifest(segments, self.segment_rows, records_read, self.generation);
+        commit(&*self.fs, &self.dir, manifest)
+    }
+}
+
+/// Deletes what the sealed commit of `generation` retired, and the
+/// retired root once it is empty: the offline entry points' last step,
+/// since no reader of theirs can still hold the displaced files.
+pub(crate) fn reclaim(fs: &dyn StoreFs, dir: &Path, generation: u64) -> Result<(), StoreError> {
+    let gen_dir = retired_dir_for(dir, generation);
+    fs.remove_dir(&gen_dir).map_err(|e| io_at(&gen_dir, e))?;
+    let root = dir.join(RETIRED_DIR);
+    if fs.list(&root).is_ok_and(|names| names.is_empty()) {
+        fs.remove_dir(&root).map_err(|e| io_at(&root, e))?;
+    }
+    Ok(())
 }
 
 /// What a tolerant journal read finds: the newest `begin` intent and the
@@ -311,7 +406,7 @@ fn quarantine_file(
 
 /// Checks segment bytes against the manifest entry that references
 /// them: internal checksum, then row count, shard, and size agreement.
-fn check_segment(bytes: &[u8], meta: &crate::query::SegmentMeta) -> Result<(), String> {
+fn check_segment(bytes: &[u8], meta: &SegmentMeta) -> Result<(), String> {
     let check = crate::segment::validate(bytes).map_err(|e| match e {
         StoreError::Corrupt { what, .. } => what,
         other => other.to_string(),
@@ -339,17 +434,17 @@ fn check_segment(bytes: &[u8], meta: &crate::query::SegmentMeta) -> Result<(), S
 }
 
 /// Looks for a displaced copy of `meta`'s file in the retired tree and
-/// moves it back into the store root. A compaction retires the old
-/// files *before* its commit point; a crash in that window rolls back
-/// to a manifest whose segments now sit under `retired/g<gen>/`.
+/// moves it back into the store root. A transaction retires the files
+/// it replaces *before* its commit point; a crash in that window rolls
+/// back to a manifest whose segments now sit under `retired/g<gen>/`.
 /// Newest retired generation wins; only a copy that validates against
 /// the manifest entry is restored.
 fn restore_from_retired(
     fs: &dyn StoreFs,
     dir: &Path,
-    meta: &crate::query::SegmentMeta,
+    meta: &SegmentMeta,
 ) -> Result<bool, StoreError> {
-    let root = dir.join(crate::RETIRED_DIR);
+    let root = dir.join(RETIRED_DIR);
     let Ok(mut gens) = fs.list(&root) else {
         return Ok(false);
     };

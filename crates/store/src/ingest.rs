@@ -1,30 +1,29 @@
 //! Ingest: routing classified events into per-shard segment writers.
 //!
-//! Two paths produce identical stores:
+//! [`StoreWriter`] is the one segment writer: deterministic per-shard
+//! builders, `*.seg.tmp` → rename → fsync-before-seal file writes, and
+//! transient-error retries with bounded backoff ([`RetryPolicy`]). Every
+//! mutation writes through it inside one transaction of
+//! [`crate::durable`], so each is all-or-previous under a crash:
 //!
-//! - [`ingest_mrt`] runs the sharded streaming pipeline with a
-//!   [`StoreSink`] in every worker. The shard function routes each event
-//!   to worker `logical_shard % jobs`, so every logical shard's stream —
-//!   and therefore every segment file — is identical at any `--jobs`.
-//! - [`StoreWriter`] is the single-threaded writer behind the sink, also
-//!   used directly when events already carry causal provenance (simulator
-//!   traces, figure caches).
+//! - [`ingest_mrt`] runs the sharded streaming pipeline with a writer in
+//!   every worker. The shard function routes each event to worker
+//!   `logical_shard % jobs`, so every logical shard's stream — and
+//!   therefore every segment file — is identical at any `--jobs`.
+//! - [`StoreWriter::create`] + [`StoreWriter::commit`] write a store from
+//!   events that already carry causal provenance (simulator traces,
+//!   figure caches).
+//! - [`compact`] pushes each shard whose segment chain is not canonical
+//!   — every segment full at `target_rows` except the shard's last —
+//!   back through the writer. Because segment encoding is a pure
+//!   function of the row stream, compaction output depends only on the
+//!   logical store content.
 //!
-//! Both paths commit through the crash-safe protocol in
-//! [`crate::durable`]: a journal `begin` record lands before anything is
-//! mutated, every segment is written `*.seg.tmp` → fsync → rename, and
-//! the manifest is journaled before being published. Transient I/O
-//! errors on the segment-write path are retried with bounded backoff
-//! ([`RetryPolicy`]); the retry count surfaces in
-//! [`IngestOutcome::retries`] and the `store.ingest.retries` counter.
-//!
-//! [`compact`] rewrites shards whose segment chain has ragged row counts
-//! into the canonical form: every segment full at `target_rows` except the
-//! shard's last. Because segment encoding is a pure function of the row
-//! stream, compaction output depends only on the logical store content.
+//! Retries surface in [`IngestOutcome::retries`] and the
+//! `store.ingest.retries` counter.
 
-use crate::durable::{self, CommitStep};
-use crate::query::{build_manifest, Manifest, SegmentMeta};
+use crate::durable::{self, Transaction};
+use crate::query::{Manifest, SegmentMeta};
 use crate::segment::{segment_file_name, SegmentBuilder, SegmentData, DEFAULT_PAGE_ROWS};
 use crate::{
     logical_shard, shard_of_event, StoreError, StoredEvent, DEFAULT_SEGMENT_ROWS, LOGICAL_SHARDS,
@@ -32,7 +31,7 @@ use crate::{
 };
 use iri_core::classifier::ClassifiedEvent;
 use iri_core::input::UpdateEvent;
-use iri_faults::{real_fs, RetryPolicy, SharedFs, StoreFs};
+use iri_faults::{real_fs, RetryPolicy, SharedFs};
 use iri_mrt::MrtReader;
 use iri_obs::cause::Cause;
 use iri_pipeline::{analyze_mrt_with_sink, AnalysisResult, ClassifiedSink, PipelineConfig};
@@ -64,11 +63,6 @@ pub struct IngestConfig {
     /// the commit point — but the page cache absorbs the whole round
     /// first, which removes the fsync-per-segment scaling cliff.
     pub batch_sync: bool,
-    /// Move segment files this ingest replaces into `retired/g<gen>/`
-    /// instead of deleting them, so pinned reader snapshots of older
-    /// generations keep working. Used by [`crate::LiveStore`]; offline
-    /// ingest deletes (default).
-    pub retire_replaced: bool,
 }
 
 impl Default for IngestConfig {
@@ -80,7 +74,6 @@ impl Default for IngestConfig {
             fs: real_fs(),
             retry: RetryPolicy::default(),
             batch_sync: true,
-            retire_replaced: false,
         }
     }
 }
@@ -127,48 +120,25 @@ impl IngestConfig {
         self.batch_sync = batch;
         self
     }
-
-    /// Enables retiring replaced segments for pinned readers.
-    #[must_use]
-    pub fn with_retire_replaced(mut self, retire: bool) -> Self {
-        self.retire_replaced = retire;
-        self
-    }
 }
 
 fn io_at(path: &Path, e: io::Error) -> StoreError {
     StoreError::io(path, e)
 }
 
-/// The directory a commit of generation `gen` parks replaced segments
-/// in: `retired/g<gen>`, zero-padded so lexicographic order is
-/// generation order.
-pub(crate) fn retired_dir_for(dir: &Path, gen: u64) -> PathBuf {
-    dir.join(crate::RETIRED_DIR).join(format!("g{gen:010}"))
-}
-
-/// Removes stale store files so re-ingest into an existing directory
-/// cannot leave orphaned segments behind the new manifest. The journal
-/// (already carrying this commit's `begin` record) and the quarantine
-/// directory are left alone. With `retire_to`, segment files are moved
-/// there (for still-pinned reader snapshots) instead of deleted.
-fn prepare_dir(fs: &dyn StoreFs, dir: &Path, retire_to: Option<&Path>) -> Result<(), StoreError> {
+/// Begins a transaction that replaces whatever store `dir` holds with a
+/// new one, one generation past anything the directory names.
+fn begin_rewrite(fs: &SharedFs, dir: &Path, segment_rows: u32) -> Result<Transaction, StoreError> {
     fs.create_dir_all(dir).map_err(|e| io_at(dir, e))?;
-    for name in fs.list(dir).map_err(|e| io_at(dir, e))? {
-        if !(name == MANIFEST_FILE || name.ends_with(".seg") || name.ends_with(".tmp")) {
-            continue;
-        }
-        let path = dir.join(&name);
-        match retire_to {
-            Some(rdir) if name.ends_with(".seg") => {
-                fs.create_dir_all(rdir).map_err(|e| io_at(rdir, e))?;
-                let dest = rdir.join(&name);
-                fs.rename(&path, &dest).map_err(|e| io_at(&path, e))?;
-            }
-            _ => fs.remove(&path).map_err(|e| io_at(&path, e))?,
-        }
+    // A crash may have sealed a commit MANIFEST.json does not show yet:
+    // recover it first, or this begin record would truncate it away.
+    if fs.exists(&dir.join(durable::JOURNAL_FILE)) {
+        durable::recover(&**fs, dir, false)?;
     }
-    Ok(())
+    let generation = durable::next_generation(&**fs, dir);
+    let txn = Transaction::begin(fs.clone(), dir, generation, segment_rows.max(1))?;
+    txn.retire_all()?;
+    Ok(txn)
 }
 
 /// Runs one I/O operation under a retry policy, mapping the final error
@@ -186,12 +156,13 @@ fn run_retried<T>(
 ///
 /// Events are routed by [`logical_shard`]; each shard accumulates rows in
 /// a [`SegmentBuilder`] and rolls to a numbered file every `segment_rows`
-/// rows. One writer may own any subset of the shards — ingest workers each
-/// own the shards congruent to their worker index — since shards never
-/// share files or sequence counters.
+/// rows, continuing the chain of any segments the transaction keeps. A
+/// writer either owns its store transaction or is a parallel ingest
+/// worker under a writer that does; workers may own any subset of the
+/// shards, since shards never share files or sequence counters.
 ///
-/// Segment files are committed atomically: written to `<name>.tmp`,
-/// fsynced, then renamed over the final name.
+/// Segment files are written to `<name>.tmp`, renamed over the final
+/// name, and fsynced before the seal.
 #[derive(Debug)]
 pub struct StoreWriter {
     dir: PathBuf,
@@ -199,8 +170,8 @@ pub struct StoreWriter {
     retry: RetryPolicy,
     segment_rows: u32,
     page_rows: u32,
-    generation: u64,
     batch_sync: bool,
+    txn: Option<Transaction>,
     builders: Vec<Option<SegmentBuilder>>,
     seqs: Vec<u32>,
     metas: Vec<SegmentMeta>,
@@ -209,12 +180,12 @@ pub struct StoreWriter {
 }
 
 impl StoreWriter {
-    /// Creates a store directory (clearing any previous store in it) and
-    /// a writer over all shards. For single-threaded ingest of
-    /// pre-classified streams; pair with [`StoreWriter::commit`].
+    /// Creates a store directory and a writer over all shards. For
+    /// single-threaded ingest of pre-classified streams; pair with
+    /// [`StoreWriter::commit`].
     ///
-    /// Begins the commit protocol: the journal `begin` record is durable
-    /// before any existing store file is touched.
+    /// Begins a transaction that retires any previous store in `dir`: a
+    /// crash before the commit leaves the previous store recoverable.
     pub fn create(dir: &Path, segment_rows: u32) -> Result<Self, StoreError> {
         Self::create_with(dir, segment_rows, real_fs(), RetryPolicy::default())
     }
@@ -227,37 +198,49 @@ impl StoreWriter {
         fs: SharedFs,
         retry: RetryPolicy,
     ) -> Result<Self, StoreError> {
-        fs.create_dir_all(dir).map_err(|e| io_at(dir, e))?;
-        let generation = durable::next_generation(&*fs, dir);
-        durable::journal_begin(&*fs, dir, generation, segment_rows.max(1))?;
-        fs.checkpoint(CommitStep::Begin)
-            .map_err(|e| io_at(dir, e))?;
-        prepare_dir(&*fs, dir, None)?;
-        let mut w = Self::attach_with(dir, segment_rows, fs, retry);
-        w.generation = generation;
-        Ok(w)
+        let txn = begin_rewrite(&fs, dir, segment_rows)?;
+        Ok(Self::in_transaction(txn, retry, Vec::new()))
     }
 
-    /// A writer over an already-prepared directory; does not clear
-    /// existing files or touch the journal. Used by the per-worker
-    /// ingest sinks, whose commit happens in [`ingest_mrt`].
-    #[must_use]
-    pub fn attach(dir: &Path, segment_rows: u32) -> Self {
-        Self::attach_with(dir, segment_rows, real_fs(), RetryPolicy::default())
+    /// A writer that commits `txn`, keeping the committed segments
+    /// `kept` and continuing each shard's chain after them.
+    pub(crate) fn in_transaction(
+        txn: Transaction,
+        retry: RetryPolicy,
+        kept: Vec<SegmentMeta>,
+    ) -> Self {
+        let mut w = Self::blank(txn.dir.clone(), txn.fs.clone(), retry, txn.segment_rows);
+        for meta in &kept {
+            let shard = meta.shard as usize;
+            w.seqs[shard] = w.seqs[shard].max(meta.seq + 1);
+        }
+        w.metas = kept;
+        w.txn = Some(txn);
+        w
     }
 
-    /// [`StoreWriter::attach`] with an explicit filesystem and retry
-    /// policy.
-    #[must_use]
-    pub fn attach_with(dir: &Path, segment_rows: u32, fs: SharedFs, retry: RetryPolicy) -> Self {
+    /// A writer with this one's settings for one ingest worker; its
+    /// segments reach the commit through [`StoreWriter::absorb`].
+    pub(crate) fn worker(&self) -> Self {
+        Self::blank(
+            self.dir.clone(),
+            self.fs.clone(),
+            self.retry,
+            self.segment_rows,
+        )
+        .with_batch_sync(self.batch_sync)
+        .with_page_rows(self.page_rows)
+    }
+
+    fn blank(dir: PathBuf, fs: SharedFs, retry: RetryPolicy, segment_rows: u32) -> Self {
         StoreWriter {
-            dir: dir.to_path_buf(),
+            dir,
             fs,
             retry,
             segment_rows: segment_rows.max(1),
             page_rows: DEFAULT_PAGE_ROWS,
-            generation: 1,
             batch_sync: true,
+            txn: None,
             builders: (0..LOGICAL_SHARDS).map(|_| None).collect(),
             seqs: vec![0; LOGICAL_SHARDS],
             metas: Vec::new(),
@@ -278,20 +261,6 @@ impl StoreWriter {
     pub fn with_page_rows(mut self, rows: u32) -> Self {
         self.page_rows = rows.max(1);
         self
-    }
-
-    /// Continues each shard's segment chain at the given sequence
-    /// numbers instead of zero — the live append path, which adds new
-    /// segments after a store's existing ones.
-    pub(crate) fn start_at(&mut self, seqs: Vec<u32>) {
-        assert_eq!(seqs.len(), LOGICAL_SHARDS);
-        self.seqs = seqs;
-    }
-
-    /// Overrides the generation stamped into [`StoreWriter::commit`]'s
-    /// manifest (creation probes it from the directory).
-    pub(crate) fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
     }
 
     /// Appends one event, rolling its shard's segment if full.
@@ -332,11 +301,9 @@ impl StoreWriter {
     }
 
     /// Fsyncs every segment written since the last call — the batched
-    /// half of the atomic-write protocol. Must complete before
-    /// the journal seals (`durable::commit`); [`StoreWriter::commit`]
-    /// calls it, and [`ingest_mrt`] runs one pass over all workers'
-    /// pending files.
-    pub fn sync_pending(&mut self) -> Result<(), StoreError> {
+    /// half of the atomic-write protocol, which must complete before
+    /// the seal.
+    fn sync_pending(&mut self) -> Result<(), StoreError> {
         for dest in std::mem::take(&mut self.pending_sync) {
             let (res, n) = run_retried(&self.retry, &dest, || self.fs.sync(&dest));
             self.retries += n;
@@ -361,20 +328,21 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Flushes every shard's partial segment to disk.
-    pub fn flush_all(&mut self) -> Result<(), StoreError> {
+    /// Flushes every shard's partial segment and fsyncs what this
+    /// writer wrote.
+    fn finish(&mut self) -> Result<(), StoreError> {
         for shard in 0..LOGICAL_SHARDS {
             self.flush_shard(shard)?;
         }
-        Ok(())
+        self.sync_pending()
     }
 
-    /// Takes the manifest entries written so far (after [`flush_all`]).
-    ///
-    /// [`flush_all`]: StoreWriter::flush_all
-    #[must_use]
-    pub fn take_metas(&mut self) -> Vec<SegmentMeta> {
-        std::mem::take(&mut self.metas)
+    /// Takes over a finished worker's segments and retry count.
+    pub(crate) fn absorb(&mut self, mut worker: StoreWriter) -> Result<(), StoreError> {
+        worker.finish()?;
+        self.metas.append(&mut worker.metas);
+        self.retries += worker.retries;
+        Ok(())
     }
 
     /// Transient-error retries spent so far.
@@ -383,71 +351,38 @@ impl StoreWriter {
         self.retries
     }
 
-    /// Flushes everything and runs the rest of the commit protocol:
-    /// journal seal, manifest publish, journal retire. `records_read` is
-    /// carried into the manifest for provenance (0 if unknown).
-    pub fn commit(mut self, records_read: u64) -> Result<Manifest, StoreError> {
-        self.flush_all()?;
-        self.sync_pending()?;
-        let metas = self.take_metas();
-        let manifest = build_manifest(metas, self.segment_rows, records_read, self.generation);
-        durable::commit(&*self.fs, &self.dir, manifest)
+    /// Flushes everything and seals the transaction, leaving what it
+    /// retired for the caller to reclaim. `records_read` is carried into
+    /// the manifest for provenance (0 if unknown).
+    pub(crate) fn seal(mut self, records_read: u64) -> Result<Manifest, StoreError> {
+        self.finish()?;
+        let txn = self
+            .txn
+            .take()
+            .expect("only a writer that owns its transaction seals");
+        txn.seal(self.metas, records_read)
     }
 
-    /// Like [`StoreWriter::commit`] but with caller-supplied extra
-    /// manifest entries (the live append path: the previous manifest's
-    /// segments stay, this writer's new segments extend them).
-    pub(crate) fn commit_with_extra(
-        mut self,
-        mut extra: Vec<SegmentMeta>,
-        records_read: u64,
-    ) -> Result<Manifest, StoreError> {
-        self.flush_all()?;
-        self.sync_pending()?;
-        extra.extend(self.take_metas());
-        let manifest = build_manifest(extra, self.segment_rows, records_read, self.generation);
-        durable::commit(&*self.fs, &self.dir, manifest)
+    /// Flushes everything, commits, and reclaims the files the commit
+    /// replaced. `records_read` is carried into the manifest for
+    /// provenance (0 if unknown).
+    pub fn commit(self, records_read: u64) -> Result<Manifest, StoreError> {
+        let (fs, dir) = (self.fs.clone(), self.dir.clone());
+        let manifest = self.seal(records_read)?;
+        durable::reclaim(&*fs, &dir, manifest.generation)?;
+        Ok(manifest)
     }
 }
 
 /// Per-worker pipeline sink that persists every classified event. MRT
 /// ingest has no simulator provenance, so rows carry [`Cause::Unknown`].
 #[derive(Debug)]
-pub struct StoreSink {
+pub(crate) struct StoreSink {
     writer: StoreWriter,
     error: Option<StoreError>,
 }
 
 impl StoreSink {
-    /// A sink writing into `dir` (which must already be prepared).
-    #[must_use]
-    pub fn new(dir: &Path, segment_rows: u32) -> Self {
-        Self::new_with(dir, segment_rows, real_fs(), RetryPolicy::default())
-    }
-
-    /// [`StoreSink::new`] with an explicit filesystem and retry policy.
-    #[must_use]
-    pub fn new_with(dir: &Path, segment_rows: u32, fs: SharedFs, retry: RetryPolicy) -> Self {
-        StoreSink {
-            writer: StoreWriter::attach_with(dir, segment_rows, fs, retry),
-            error: None,
-        }
-    }
-
-    /// Switches between batched (default) and inline per-segment fsync.
-    #[must_use]
-    pub fn with_batch_sync(mut self, batch: bool) -> Self {
-        self.writer.batch_sync = batch;
-        self
-    }
-
-    /// Sets the zone-map page size.
-    #[must_use]
-    pub fn with_page_rows(mut self, rows: u32) -> Self {
-        self.writer = self.writer.with_page_rows(rows);
-        self
-    }
-
     fn into_writer(mut self) -> Result<StoreWriter, StoreError> {
         match self.error.take() {
             Some(e) => Err(e),
@@ -473,15 +408,11 @@ impl ClassifiedSink for StoreSink {
         }
         // Run this worker's batched fsync pass here, on the worker
         // thread, so the passes overlap across workers. Leaving them
-        // all to the post-join loop in `ingest_mrt` serialized every
+        // all to the post-join absorb in `ingest_mrt` serialized every
         // fsync on the main thread — the regression that made batched
-        // sync *slower* than inline at jobs > 1. The post-join
-        // `sync_pending` still runs as a cheap no-op safety net.
-        if let Err(e) = self
-            .writer
-            .flush_all()
-            .and_then(|()| self.writer.sync_pending())
-        {
+        // sync *slower* than inline at jobs > 1. The post-join pass
+        // still runs as a cheap no-op safety net.
+        if let Err(e) = self.writer.finish() {
             self.error = Some(e);
         }
     }
@@ -507,61 +438,56 @@ pub struct IngestOutcome {
 ///
 /// Events are routed to workers by `logical_shard % jobs`, so the segment
 /// files are byte-identical at any worker count. The whole ingest is one
-/// commit of the crash-safe protocol: a crash at any point leaves a
-/// directory `Store::open` recovers to either the committed store or the
-/// empty store of the begun generation — never a torn mix.
+/// transaction that replaces any previous store in `dir`: a crash at any
+/// point leaves a directory `Store::open` recovers to either the
+/// committed store or the previous one (empty, for a first ingest) —
+/// never a torn mix.
 pub fn ingest_mrt<R: std::io::Read>(
     dir: &Path,
     reader: &mut MrtReader<R>,
     base_time: u32,
     cfg: &IngestConfig,
 ) -> Result<IngestOutcome, StoreError> {
-    let fs = &cfg.fs;
-    let segment_rows = cfg.segment_rows.max(1);
-    fs.create_dir_all(dir).map_err(|e| io_at(dir, e))?;
-    let generation = durable::next_generation(&**fs, dir);
-    durable::journal_begin(&**fs, dir, generation, segment_rows)?;
-    fs.checkpoint(CommitStep::Begin)
-        .map_err(|e| io_at(dir, e))?;
-    let retire_to = cfg
-        .retire_replaced
-        .then(|| retired_dir_for(dir, generation));
-    prepare_dir(&**fs, dir, retire_to.as_deref())?;
+    let outcome = ingest_unreclaimed(dir, reader, base_time, cfg)?;
+    durable::reclaim(&*cfg.fs, dir, outcome.manifest.generation)?;
+    Ok(outcome)
+}
+
+/// [`ingest_mrt`] without the reclaim, for a caller whose pinned readers
+/// may still need the segments it retired.
+pub(crate) fn ingest_unreclaimed<R: std::io::Read>(
+    dir: &Path,
+    reader: &mut MrtReader<R>,
+    base_time: u32,
+    cfg: &IngestConfig,
+) -> Result<IngestOutcome, StoreError> {
+    let txn = begin_rewrite(&cfg.fs, dir, cfg.segment_rows)?;
+    let mut owner = StoreWriter::in_transaction(txn, cfg.retry, Vec::new())
+        .with_batch_sync(cfg.batch_sync)
+        .with_page_rows(cfg.page_rows);
 
     let (analysis, sinks, records_read) = analyze_mrt_with_sink(
         reader,
         base_time,
         &cfg.pipeline,
         |event, jobs| shard_of_event(event) % jobs,
-        |_worker, _jobs| {
-            StoreSink::new_with(dir, segment_rows, cfg.fs.clone(), cfg.retry)
-                .with_batch_sync(cfg.batch_sync)
-                .with_page_rows(cfg.page_rows)
+        |_worker, _jobs| StoreSink {
+            writer: owner.worker(),
+            error: None,
         },
     )
     .map_err(|e| StoreError::Ingest(e.to_string()))?;
 
-    let mut metas = Vec::new();
-    let mut retries = 0u64;
     for sink in sinks {
-        // One batched fsync pass per worker covers every segment that
-        // worker renamed into place — all before the journal seal below.
-        let mut writer = sink.into_writer()?;
-        writer.sync_pending()?;
-        metas.extend(writer.take_metas());
-        retries += writer.retries();
+        owner.absorb(sink.into_writer()?)?;
     }
+    let retries = owner.retries();
     let mut analysis = analysis;
     let retries_id = analysis.registry.counter("store.ingest.retries");
     analysis.registry.add(retries_id, retries);
 
-    let manifest = durable::commit(
-        &**fs,
-        dir,
-        build_manifest(metas, segment_rows, records_read, generation),
-    )?;
     Ok(IngestOutcome {
-        manifest,
+        manifest: owner.seal(records_read)?,
         analysis,
         records_read,
         retries,
@@ -579,24 +505,6 @@ pub struct CompactReport {
     pub segments_after: usize,
 }
 
-/// How [`compact_with_opts`] treats generations and replaced files.
-///
-/// Offline compaction (the default) preserves the generation — its
-/// output is a pure function of the logical content, so two stores with
-/// equal content stay byte-identical — and deletes replaced segments.
-/// Live compaction under [`crate::LiveStore`] bumps the generation
-/// (snapshot pins and cache keys hang off it) and retires replaced
-/// segments for still-pinned readers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompactOptions {
-    /// Commit the rewrite as a new generation instead of preserving the
-    /// current one.
-    pub bump_generation: bool,
-    /// Move replaced segment files to `retired/g<gen>/` instead of
-    /// deleting them.
-    pub retire_replaced: bool,
-}
-
 /// Rewrites every shard whose segment chain is not in canonical form —
 /// all segments holding exactly `target_rows` rows except the shard's
 /// last — by re-encoding its row stream into fresh segments.
@@ -607,11 +515,9 @@ pub struct CompactOptions {
 /// yields byte-identical directories; compacting twice is a no-op. The
 /// manifest generation is preserved, not bumped, for the same reason.
 ///
-/// Unlike ingest, compaction rewrites in place and is *not* crash-atomic
-/// as a whole: a crash mid-compact can lose rewritten shards (recovery
-/// quarantines the partial work), but each segment write and the final
-/// manifest publish are individually atomic, so the store never serves
-/// torn bytes.
+/// Compacts the store as `Store::open` would recover it, in one
+/// transaction like every mutation: a crash at any point recovers the
+/// uncompacted or the compacted store.
 pub fn compact(dir: &Path, target_rows: u32) -> Result<CompactReport, StoreError> {
     compact_with(dir, target_rows, &real_fs(), RetryPolicy::default())
 }
@@ -623,34 +529,27 @@ pub fn compact_with(
     fs: &SharedFs,
     retry: RetryPolicy,
 ) -> Result<CompactReport, StoreError> {
-    compact_with_opts(dir, target_rows, fs, retry, CompactOptions::default()).map(|(r, _)| r)
+    // Start from the recovered store: a crash may have sealed a commit
+    // the published MANIFEST.json does not show yet.
+    let (manifest, _) = durable::recover(&**fs, dir, false)?;
+    let generation = manifest.generation;
+    let (report, _) = compact_unreclaimed(dir, &manifest, generation, target_rows, fs, retry)?;
+    durable::reclaim(&**fs, dir, generation)?;
+    Ok(report)
 }
 
-/// [`compact_with`] with explicit [`CompactOptions`]; also returns the
-/// manifest the rewrite committed (the live path needs it without a
-/// re-read).
-pub fn compact_with_opts(
+/// Compacts the store `manifest` describes as a commit of `generation`,
+/// leaving what it retired for the caller to reclaim. Returns the
+/// manifest it committed.
+pub(crate) fn compact_unreclaimed(
     dir: &Path,
+    manifest: &Manifest,
+    generation: u64,
     target_rows: u32,
     fs: &SharedFs,
     retry: RetryPolicy,
-    opts: CompactOptions,
 ) -> Result<(CompactReport, Manifest), StoreError> {
     let target_rows = target_rows.max(1);
-    let manifest = crate::query::read_manifest(dir)?;
-    let segments_before = manifest.segments.len();
-    let generation = manifest.generation + u64::from(opts.bump_generation);
-    if opts.bump_generation {
-        // Journal the intent like any other generation-advancing commit:
-        // a crash before the seal recovers the previous generation.
-        durable::journal_begin(&**fs, dir, generation, target_rows)?;
-        fs.checkpoint(CommitStep::Begin)
-            .map_err(|e| io_at(dir, e))?;
-    }
-    let retire_to = opts
-        .retire_replaced
-        .then(|| retired_dir_for(dir, generation));
-
     let mut by_shard: Vec<Vec<&SegmentMeta>> = (0..LOGICAL_SHARDS).map(|_| Vec::new()).collect();
     for meta in &manifest.segments {
         let shard = meta.shard as usize;
@@ -662,90 +561,46 @@ pub fn compact_with_opts(
         }
         by_shard[shard].push(meta);
     }
-
-    let write_atomic = |file: &str, bytes: &[u8]| -> Result<(), StoreError> {
-        let tmp = dir.join(format!("{file}.tmp"));
-        let dest = dir.join(file);
-        run_retried(&retry, &tmp, || fs.write(&tmp, bytes)).0?;
-        run_retried(&retry, &tmp, || fs.sync(&tmp)).0?;
-        run_retried(&retry, &dest, || fs.rename(&tmp, &dest)).0
-    };
-
-    let mut new_metas: Vec<SegmentMeta> = Vec::new();
-    let mut shards_rewritten = 0usize;
-    for (shard, metas) in by_shard.iter().enumerate() {
-        // Canonical form also pins the page layout: rewriting re-encodes
-        // with DEFAULT_PAGE_ROWS, so a pageless (v1) or oddly-paged chain
-        // is "not canonical" and gets upgraded here.
-        let canonical = metas.iter().enumerate().all(|(i, m)| {
+    // Canonical form also pins the page layout: rewriting re-encodes
+    // with DEFAULT_PAGE_ROWS, so a pageless (v1) or oddly-paged chain
+    // is "not canonical" and gets upgraded here.
+    let (canonical, ragged): (Vec<_>, Vec<_>) = by_shard.into_iter().partition(|metas| {
+        metas.iter().enumerate().all(|(i, m)| {
             m.seq == i as u32
                 && (i + 1 == metas.len() || m.rows == u64::from(target_rows))
                 && m.pages == m.rows.div_ceil(u64::from(DEFAULT_PAGE_ROWS))
         }) && metas
             .last()
-            .is_none_or(|m| m.rows <= u64::from(target_rows));
-        if canonical {
-            new_metas.extend(metas.iter().map(|m| (*m).clone()));
-            continue;
-        }
-        shards_rewritten += 1;
+            .is_none_or(|m| m.rows <= u64::from(target_rows))
+    });
+    let kept = canonical.into_iter().flatten().cloned().collect();
 
-        // Decode the shard's full row stream in segment order.
-        let mut rows: Vec<StoredEvent> = Vec::new();
-        for meta in metas {
-            let path = dir.join(&meta.file);
-            let bytes = fs.read(&path).map_err(|e| io_at(&path, e))?;
-            let seg = SegmentData::decode(&bytes).map_err(|e| e.with_path(&path))?;
-            for i in 0..seg.len() {
-                rows.push(seg.event(i));
-            }
-        }
-        for meta in metas {
-            let path = dir.join(&meta.file);
-            match &retire_to {
-                Some(rdir) => {
-                    fs.create_dir_all(rdir).map_err(|e| io_at(rdir, e))?;
-                    let dest = rdir.join(&meta.file);
-                    fs.rename(&path, &dest).map_err(|e| io_at(&path, e))?;
-                }
-                None => fs.remove(&path).map_err(|e| io_at(&path, e))?,
-            }
-        }
-
-        // Re-encode into canonical segments.
-        let mut seq = 0u32;
-        let mut builder = SegmentBuilder::new(shard as u16);
-        for row in &rows {
-            builder.push(row);
-            if builder.rows() >= target_rows {
-                let file = segment_file_name(shard, seq);
-                let (bytes, meta) =
-                    std::mem::replace(&mut builder, SegmentBuilder::new(shard as u16))
-                        .encode(file.clone(), seq);
-                write_atomic(&file, &bytes)?;
-                new_metas.push(meta);
-                seq += 1;
-            }
-        }
-        if !builder.is_empty() {
-            let file = segment_file_name(shard, seq);
-            let (bytes, meta) = builder.encode(file.clone(), seq);
-            write_atomic(&file, &bytes)?;
-            new_metas.push(meta);
-        }
+    let txn = Transaction::begin(fs.clone(), dir, generation, target_rows)?;
+    let mut chains = Vec::with_capacity(ragged.len());
+    for metas in &ragged {
+        let retired: Result<Vec<_>, _> = metas.iter().map(|m| txn.retire(&m.file)).collect();
+        chains.push((metas[0].shard as usize, retired?));
     }
-
-    let segments_after = new_metas.len();
-    let committed = durable::commit(
-        &**fs,
-        dir,
-        build_manifest(new_metas, target_rows, manifest.records_read, generation),
-    )?;
+    // Re-encode each retired chain's row stream, in segment order, into
+    // the shard's fresh chain from sequence 0 — one shard at a time, so
+    // only one shard's rows are ever held in memory.
+    let mut writer = StoreWriter::in_transaction(txn, retry, kept);
+    for (shard, paths) in &chains {
+        for path in paths {
+            let bytes = fs.read(path).map_err(|e| io_at(path, e))?;
+            let seg = SegmentData::decode(&bytes).map_err(|e| e.with_path(path))?;
+            for i in 0..seg.len() {
+                writer.push(&seg.event(i))?;
+            }
+        }
+        writer.flush_shard(*shard)?;
+    }
+    let committed = writer.seal(manifest.records_read)?;
     Ok((
         CompactReport {
-            shards_rewritten,
-            segments_before,
-            segments_after,
+            shards_rewritten: ragged.len(),
+            segments_before: manifest.segments.len(),
+            segments_after: committed.segments.len(),
         },
         committed,
     ))

@@ -65,8 +65,7 @@ use std::path::{Path, PathBuf};
 pub use diff::{diff_dirs, DirDiff};
 pub use durable::{CommitStep, QuarantinedFile, Recovery, JOURNAL_FILE, QUARANTINE_DIR};
 pub use ingest::{
-    compact, compact_with, compact_with_opts, ingest_mrt, CompactOptions, CompactReport,
-    IngestConfig, IngestOutcome, StoreSink, StoreWriter,
+    compact, compact_with, ingest_mrt, CompactReport, IngestConfig, IngestOutcome, StoreWriter,
 };
 pub use live::{LiveOptions, LiveStats, LiveStore, PinGuard, Snapshot};
 pub use plan::{PhysicalPlan, PlanKind, PruneReason, SegmentFate, SegmentStep};

@@ -9,26 +9,27 @@
 //!
 //! ## The pin/retire protocol
 //!
-//! The commit point of the PR-4 durability protocol — the journal
-//! `commit` record carrying the full manifest — already gives every
-//! store state a name: its **generation**. Snapshot isolation builds on
-//! that in three steps:
+//! The commit point of the store transaction ([`crate::durable`]) — the
+//! journal `commit` record carrying the full manifest — already gives
+//! every store state a name: its **generation**. Snapshot isolation
+//! builds on that in three steps:
 //!
 //! 1. **Pin.** A snapshot clones the current in-memory manifest and
 //!    refcounts its generation in a pin table. No I/O, no locks held
 //!    after construction.
-//! 2. **Retire.** A mutating commit of generation `g` that would
-//!    overwrite or delete a segment file (compaction reuses canonical
-//!    names; re-ingest clears the directory) instead *renames* it to
-//!    `retired/g<g>/<file>` — atomic, so a concurrent reader sees
-//!    either the old bytes at the main path or finds them in `retired/`.
-//!    Appends need no retirement: they only add segments at fresh
-//!    names, continuing each shard's sequence chain.
-//! 3. **Reclaim.** `retired/g<g>/` is needed only by pins *older* than
-//!    `g`. Garbage collection deletes every retired directory at or
-//!    below the oldest pinned generation (all of them when nothing is
-//!    pinned), and the whole tree at open — pins do not survive a
-//!    process.
+//! 2. **Retire.** Every commit of generation `g` already *renames* each
+//!    segment file it replaces (compaction reuses canonical names;
+//!    re-ingest replaces everything) to `retired/g<g>/<file>` before its
+//!    seal — atomic, so a concurrent reader sees either the old bytes at
+//!    the main path or finds them in `retired/`. Appends replace nothing:
+//!    they only add segments at fresh names, continuing each shard's
+//!    sequence chain.
+//! 3. **Reclaim.** Where the offline entry points delete `retired/g<g>/`
+//!    right after the seal, a live store keeps it while pins *older*
+//!    than `g` need it. Garbage collection deletes every retired
+//!    directory at or below the oldest pinned generation (all of them
+//!    when nothing is pinned), and the whole tree at open — pins do not
+//!    survive a process.
 //!
 //! A pinned reader validates every segment against its pinned manifest
 //! entry (byte length and row count; encoding is deterministic, so those
@@ -37,12 +38,10 @@
 //! at `g` is the one moved aside by the earliest commit after `g` that
 //! touched the file.
 
-use crate::durable::{self, CommitStep};
-use crate::ingest::{
-    self, retired_dir_for, CompactOptions, CompactReport, IngestConfig, IngestOutcome, StoreWriter,
-};
+use crate::durable::{retired_dir_for, Transaction};
+use crate::ingest::{self, CompactReport, IngestConfig, IngestOutcome, StoreWriter};
 use crate::query::{Manifest, OpenOptions, Store};
-use crate::{StoreError, StoredEvent, LOGICAL_SHARDS, RETIRED_DIR};
+use crate::{StoreError, StoredEvent, RETIRED_DIR};
 use iri_faults::{real_fs, RetryPolicy, SharedFs};
 use iri_mrt::MrtReader;
 use serde::Serialize;
@@ -289,24 +288,12 @@ impl LiveStore {
         let _w = lock(&self.write_lock, "write");
         let old = self.manifest();
         let generation = old.generation + 1;
-        durable::journal_begin(&*self.fs, &self.dir, generation, old.segment_rows)?;
-        self.fs
-            .checkpoint(CommitStep::Begin)
-            .map_err(|e| StoreError::io(&self.dir, e))?;
-        let mut writer =
-            StoreWriter::attach_with(&self.dir, old.segment_rows, self.fs.clone(), self.retry);
-        writer.set_generation(generation);
-        let mut seqs = vec![0u32; LOGICAL_SHARDS];
-        for meta in &old.segments {
-            let shard = meta.shard as usize;
-            seqs[shard] = seqs[shard].max(meta.seq + 1);
-        }
-        writer.start_at(seqs);
+        let txn = Transaction::begin(self.fs.clone(), &self.dir, generation, old.segment_rows)?;
+        let mut writer = StoreWriter::in_transaction(txn, self.retry, old.segments);
         for row in rows {
             writer.push(row)?;
         }
-        let manifest = writer.commit_with_extra(old.segments, old.records_read)?;
-        *lock(&self.manifest, "manifest") = manifest;
+        *lock(&self.manifest, "manifest") = writer.seal(old.records_read)?;
         {
             let mut c = lock(&self.counters, "counters");
             c.appends += 1;
@@ -317,15 +304,19 @@ impl LiveStore {
     }
 
     /// Rewrites ragged shard chains into canonical form as a new
-    /// generation, retiring replaced files for pinned readers.
+    /// generation (unlike offline [`crate::compact`], which keeps the
+    /// generation), leaving replaced files retired for pinned readers.
     pub fn compact(&self, target_rows: u32) -> Result<CompactReport, StoreError> {
         let _w = lock(&self.write_lock, "write");
-        let opts = CompactOptions {
-            bump_generation: true,
-            retire_replaced: true,
-        };
-        let (report, manifest) =
-            ingest::compact_with_opts(&self.dir, target_rows, &self.fs, self.retry, opts)?;
+        let old = self.manifest();
+        let (report, manifest) = ingest::compact_unreclaimed(
+            &self.dir,
+            &old,
+            old.generation + 1,
+            target_rows,
+            &self.fs,
+            self.retry,
+        )?;
         *lock(&self.manifest, "manifest") = manifest;
         lock(&self.counters, "counters").compactions += 1;
         self.gc();
@@ -346,9 +337,8 @@ impl LiveStore {
             .with_jobs(self.jobs)
             .with_segment_rows(segment_rows)
             .with_fs(self.fs.clone())
-            .with_retry(self.retry)
-            .with_retire_replaced(true);
-        let outcome = ingest::ingest_mrt(&self.dir, reader, base_time, &cfg)?;
+            .with_retry(self.retry);
+        let outcome = ingest::ingest_unreclaimed(&self.dir, reader, base_time, &cfg)?;
         *lock(&self.manifest, "manifest") = outcome.manifest.clone();
         lock(&self.counters, "counters").ingests += 1;
         self.gc();

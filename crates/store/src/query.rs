@@ -21,7 +21,7 @@ use crate::segment::{
     bloom_contains, peer_bloom_hash, prefix_bloom_hash, PageBuf, PageMeta, SegmentData,
     SegmentFile, BLOOM_WORDS,
 };
-use crate::{StoreError, StoredEvent, LOGICAL_SHARDS, MANIFEST_FILE};
+use crate::{StoreError, StoredEvent, LOGICAL_SHARDS};
 use iri_bgp::types::{Asn, Prefix};
 use iri_core::fxhash::FxHashMap;
 use iri_core::taxonomy::UpdateClass;
@@ -29,7 +29,6 @@ use iri_faults::{real_fs, SharedFs};
 use iri_obs::cause::Cause;
 use iri_obs::registry::{CounterId, HistogramId, Registry};
 use serde::{Deserialize, Serialize};
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -126,14 +125,6 @@ pub fn parse_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
         ));
     }
     Ok(manifest)
-}
-
-/// Reads and validates `MANIFEST.json` from a store directory, with no
-/// recovery pass. Prefer [`Store::open`], which validates segments too.
-pub fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
-    let path = dir.join(MANIFEST_FILE);
-    let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-    parse_manifest(&bytes).map_err(|e| e.with_path(&path))
 }
 
 /// Sorts segment entries canonically and derives store-level totals:

@@ -583,6 +583,58 @@ impl SegmentBuilder {
     }
 }
 
+/// Encoded bytes of one page-directory entry.
+const PAGE_ENTRY_BYTES: usize =
+    2 * 4 + 4 * 8 + 6 * 4 + 8 * (UpdateClass::COUNT + Cause::COUNT) + 2 * 8 * BLOOM_WORDS;
+
+/// The checked prefix every segment reader starts from: length, trailing
+/// checksum, magic, version, shard, and a row count no larger than the
+/// image — so no reader sizes an allocation off a corrupt count.
+struct Header<'a> {
+    /// Everything before the trailing checksum.
+    body: &'a [u8],
+    /// Positioned just past the row count.
+    cur: Cur<'a>,
+    version: u16,
+    shard: u16,
+    rows: u32,
+}
+
+impl<'a> Header<'a> {
+    fn read(bytes: &'a [u8]) -> Result<Self, StoreError> {
+        if bytes.len() < 12 + 8 {
+            return Err(bad("segment shorter than header"));
+        }
+        let (body, tail) = bytes.split_at(bytes.len() - 8);
+        let mut sum_bytes = [0u8; 8];
+        sum_bytes.copy_from_slice(tail);
+        if checksum(body) != u64::from_le_bytes(sum_bytes) {
+            return Err(bad("segment checksum mismatch"));
+        }
+        let mut cur = Cur::new(body);
+        if cur.take(4, "magic")? != MAGIC {
+            return Err(bad("bad segment magic"));
+        }
+        let version = cur.u16("version")?;
+        if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
+            return Err(bad(format!("unsupported segment version {version}")));
+        }
+        let shard = cur.u16("shard")?;
+        let rows = cur.u32("row count")?;
+        // Every row owns at least its class/cause byte.
+        if rows as usize > body.len() {
+            return Err(bad(format!("row count {rows} exceeds the segment size")));
+        }
+        Ok(Header {
+            body,
+            cur,
+            version,
+            shard,
+            rows,
+        })
+    }
+}
+
 /// A decoded segment: dictionaries plus fully materialised column vectors.
 /// Rows are reconstructed on demand by [`SegmentData::event`] so scans can
 /// filter on columns without building every [`StoredEvent`].
@@ -642,26 +694,14 @@ impl SegmentData {
 
     /// Decodes and validates a segment file image.
     pub fn decode(bytes: &[u8]) -> Result<SegmentData, StoreError> {
-        if bytes.len() < 8 + 8 {
-            return Err(bad("segment shorter than header"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut sum_bytes = [0u8; 8];
-        sum_bytes.copy_from_slice(tail);
-        if checksum(body) != u64::from_le_bytes(sum_bytes) {
-            return Err(bad("segment checksum mismatch"));
-        }
-
-        let mut cur = Cur::new(body);
-        if cur.take(4, "magic")? != MAGIC {
-            return Err(bad("bad segment magic"));
-        }
-        let version = cur.u16("version")?;
-        if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
-            return Err(bad(format!("unsupported segment version {version}")));
-        }
-        let shard = cur.u16("shard")?;
-        let rows = cur.u32("row count")? as usize;
+        let Header {
+            body,
+            mut cur,
+            shard,
+            rows,
+            ..
+        } = Header::read(bytes)?;
+        let rows = rows as usize;
 
         let n_peers = cur.u32("peer dict size")? as usize;
         if (n_peers > rows && rows > 0) || n_peers > body.len() {
@@ -889,26 +929,13 @@ impl SegmentFile {
     /// column. Cost is one hash pass plus the dictionaries and the page
     /// directory.
     pub fn parse(bytes: Vec<u8>) -> Result<SegmentFile, StoreError> {
-        if bytes.len() < 12 + 8 {
-            return Err(bad("segment shorter than header"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut sum_bytes = [0u8; 8];
-        sum_bytes.copy_from_slice(tail);
-        if checksum(body) != u64::from_le_bytes(sum_bytes) {
-            return Err(bad("segment checksum mismatch"));
-        }
-
-        let mut cur = Cur::new(body);
-        if cur.take(4, "magic")? != MAGIC {
-            return Err(bad("bad segment magic"));
-        }
-        let version = cur.u16("version")?;
-        if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
-            return Err(bad(format!("unsupported segment version {version}")));
-        }
-        let shard = cur.u16("shard")?;
-        let rows = cur.u32("row count")?;
+        let Header {
+            body,
+            mut cur,
+            version,
+            shard,
+            rows,
+        } = Header::read(&bytes)?;
 
         let n_peers = cur.u32("peer dict size")? as usize;
         if (n_peers > rows as usize && rows > 0) || n_peers > body.len() {
@@ -968,7 +995,7 @@ impl SegmentFile {
         let pages = if version >= 2 {
             let _page_rows = cur.u32("page size")?;
             let n_pages = cur.u32("page count")? as usize;
-            if n_pages > rows as usize || n_pages > body.len() {
+            if n_pages > rows as usize || n_pages > (body.len() - cur.pos) / PAGE_ENTRY_BYTES {
                 return Err(bad("page directory larger than rows"));
             }
             if rows > 0 && n_pages == 0 {
@@ -1227,26 +1254,11 @@ pub struct SegmentCheck {
 /// what `Store::open` runs over every manifest entry before serving
 /// queries, so the cost must stay one hash pass per file.
 pub fn validate(bytes: &[u8]) -> Result<SegmentCheck, StoreError> {
-    if bytes.len() < 12 + 8 {
-        return Err(bad("segment shorter than header"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut sum_bytes = [0u8; 8];
-    sum_bytes.copy_from_slice(tail);
-    if checksum(body) != u64::from_le_bytes(sum_bytes) {
-        return Err(bad("segment checksum mismatch"));
-    }
-    let mut cur = Cur::new(body);
-    if cur.take(4, "magic")? != MAGIC {
-        return Err(bad("bad segment magic"));
-    }
-    let version = cur.u16("version")?;
-    if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
-        return Err(bad(format!("unsupported segment version {version}")));
-    }
-    let shard = cur.u16("shard")?;
-    let rows = cur.u32("row count")?;
-    Ok(SegmentCheck { shard, rows })
+    let h = Header::read(bytes)?;
+    Ok(SegmentCheck {
+        shard: h.shard,
+        rows: h.rows,
+    })
 }
 
 /// Canonical segment file name: `s{shard:02}-{seq:06}.seg`.

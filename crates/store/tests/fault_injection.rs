@@ -4,14 +4,15 @@
 //! property tests over random corruption.
 //!
 //! The contract under test is all-or-previous atomicity: a store
-//! surviving a crash at ANY point of the ingest commit protocol recovers
-//! to either the fully committed new store (byte-identical replay to a
-//! clean run) or the previous store (the empty store, for a first
-//! ingest) — never a torn hybrid, and never a panic.
+//! surviving a crash at ANY point of a commit — ingest, re-ingest over
+//! an existing store, or offline compaction — recovers to either the
+//! fully committed new store (byte-identical replay to a clean run) or
+//! the previous store (the empty store, for a first ingest) — never a
+//! torn hybrid, and never a panic.
 
 use iri_faults::{FaultPlan, FaultyFs, RetryPolicy};
 use iri_mrt::{Bgp4mpMessage, MrtReader, MrtRecord, MrtWriter};
-use iri_store::{ingest_mrt, IngestConfig, Query, Store, StoreError, StoredEvent};
+use iri_store::{compact_with, ingest_mrt, IngestConfig, Query, Store, StoreError, StoredEvent};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -127,6 +128,183 @@ fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
         .collect();
     entries.sort();
     entries
+}
+
+/// Copies a store's top-level files into a fresh directory, so each kill
+/// point of a matrix starts from the same committed store.
+fn copy_store(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_file() {
+            std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+}
+
+/// The store's rows as a sorted multiset: scan order is shard order and
+/// changes under compaction, so content compares through debug keys.
+fn sorted_rows(dir: &Path) -> Vec<String> {
+    let mut keys: Vec<String> = replay_events(dir)
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// Kills `mutate` (run against a fresh copy of `base` through a
+/// [`FaultyFs`]) at every counted operation of its clean run, reopens,
+/// and requires each recovery to hold exactly the pre-mutation or
+/// exactly the post-mutation store: same rows and same committed files.
+/// Returns how many kill points landed on each side of the commit.
+fn offline_crash_matrix(
+    tag: &str,
+    base: &Path,
+    mutate: impl Fn(&Path, Arc<FaultyFs>) -> Result<(), StoreError>,
+) -> (u64, u64) {
+    let (pre_rows, pre_files) = (sorted_rows(base), store_files(base));
+    let clean_dir = temp_store_dir(&format!("{tag}-clean"));
+    copy_store(base, &clean_dir);
+    let counting = Arc::new(FaultyFs::counting());
+    mutate(&clean_dir, counting.clone()).expect("clean mutation");
+    let total_ops = counting.ops();
+    let (post_rows, post_files) = (sorted_rows(&clean_dir), store_files(&clean_dir));
+    assert_ne!(pre_files, post_files, "the mutation must change the store");
+    std::fs::remove_dir_all(&clean_dir).unwrap();
+
+    let (mut previous, mut committed) = (0u64, 0u64);
+    let mut torn = Vec::new();
+    for kill_op in 0..total_ops {
+        let dir = temp_store_dir(&format!("{tag}-op{kill_op}"));
+        copy_store(base, &dir);
+        let fs = Arc::new(FaultyFs::new(FaultPlan::new().kill_at_op(kill_op)));
+        mutate(&dir, fs.clone()).expect_err("killed mutation must error");
+        assert!(fs.killed(), "op {kill_op}: kill fault must have fired");
+        let (rows, files) = (sorted_rows(&dir), store_files(&dir));
+        if rows == pre_rows && files == pre_files {
+            previous += 1;
+        } else if rows == post_rows && files == post_files {
+            committed += 1;
+        } else {
+            torn.push((kill_op, rows.len()));
+        }
+        assert!(
+            Store::open(&dir)
+                .expect("second open")
+                .recovery()
+                .is_clean(),
+            "op {kill_op}: second open must be clean"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(
+        torn.is_empty(),
+        "{} of {total_ops} kill points recovered neither the previous nor the committed \
+         store of {} rows; first (op, rows recovered): {:?}",
+        torn.len(),
+        pre_rows.len(),
+        &torn[..torn.len().min(8)]
+    );
+    (previous, committed)
+}
+
+/// Offline compaction of a store cut at 64-row segments into 200-row
+/// segments, killed at every counted operation: recovery serves the
+/// uncompacted or the compacted store, never one missing rows.
+#[test]
+fn crash_matrix_offline_compaction_is_all_or_previous() {
+    let base = temp_store_dir("compact-base");
+    let (cfg, _) = faulty_config(FaultPlan::new(), 64);
+    ingest_with(&base, &synthetic_log(3_000), &cfg).expect("base ingest");
+    let (previous, committed) = offline_crash_matrix("compact", &base, |dir, fs| {
+        compact_with(dir, 200, &(fs as _), RetryPolicy::none()).map(|_| ())
+    });
+    assert!(previous > 0 && committed > 0, "both sides of the seal");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// A re-ingest over an existing store, killed at every counted
+/// operation: recovery serves the first store or the second, never an
+/// empty or mixed one.
+#[test]
+fn crash_matrix_offline_reingest_is_all_or_previous() {
+    let base = temp_store_dir("reingest-base");
+    let (cfg, _) = faulty_config(FaultPlan::new(), 64);
+    ingest_with(&base, &synthetic_log(200), &cfg).expect("first ingest");
+    let second = synthetic_log(300);
+    let (previous, committed) = offline_crash_matrix("reingest", &base, |dir, fs| {
+        let cfg = IngestConfig::default()
+            .with_jobs(1)
+            .with_segment_rows(64)
+            .with_fs(fs)
+            .with_retry(RetryPolicy::none());
+        ingest_with(dir, &second, &cfg)
+    });
+    assert!(previous > 0 && committed > 0, "both sides of the seal");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// A store of `synthetic_log(200)` whose second ingest, of
+/// `synthetic_log(300)`, sealed its journal but died before publishing
+/// `MANIFEST.json`, and was never reopened; with the sealed commit's
+/// sorted rows.
+fn sealed_but_unpublished(tag: &str) -> (PathBuf, Vec<String>) {
+    use iri_store::CommitStep;
+
+    let dir = temp_store_dir(tag);
+    let (cfg, _) = faulty_config(FaultPlan::new(), 64);
+    ingest_with(&dir, &synthetic_log(200), &cfg).expect("first ingest");
+    let (cfg, fs) = faulty_config(FaultPlan::new().kill_at_step(CommitStep::JournalSealed), 64);
+    ingest_with(&dir, &synthetic_log(300), &cfg).expect_err("killed after the seal");
+    assert!(fs.killed());
+
+    let reference = temp_store_dir(&format!("{tag}-ref"));
+    let (cfg, _) = faulty_config(FaultPlan::new(), 64);
+    ingest_with(&reference, &synthetic_log(300), &cfg).expect("reference ingest");
+    let rows = sorted_rows(&reference);
+    std::fs::remove_dir_all(&reference).unwrap();
+    (dir, rows)
+}
+
+/// Offline compaction over a sealed but unpublished commit compacts
+/// that commit, not the stale manifest behind it.
+#[test]
+fn offline_compaction_recovers_a_sealed_but_unpublished_commit_first() {
+    let (dir, sealed) = sealed_but_unpublished("compact-sealed");
+    compact_with(&dir, 200, &iri_faults::real_fs(), RetryPolicy::none()).expect("compact");
+    let got = sorted_rows(&dir);
+    assert!(
+        got == sealed,
+        "compaction must start from the sealed commit: {} rows, expected {}",
+        got.len(),
+        sealed.len()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A re-ingest over a sealed but unpublished commit that dies before
+/// its own seal rolls back to that sealed commit, not to the older
+/// published manifest.
+#[test]
+fn a_killed_rewrite_rolls_back_to_a_sealed_but_unpublished_commit() {
+    use iri_store::CommitStep;
+
+    let (dir, sealed) = sealed_but_unpublished("rewrite-sealed");
+    let (cfg, fs) = faulty_config(
+        FaultPlan::new().kill_at_step(CommitStep::SegmentsDurable),
+        64,
+    );
+    ingest_with(&dir, &synthetic_log(400), &cfg).expect_err("killed before the seal");
+    assert!(fs.killed());
+    let got = sorted_rows(&dir);
+    assert!(
+        got == sealed,
+        "the rewrite must roll back to the sealed commit: {} rows, expected {}",
+        got.len(),
+        sealed.len()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Kills ingest at every counted I/O operation, then proves recovery:
@@ -262,20 +440,20 @@ fn crash_during_reingest_recovers_previous_generation() {
     assert!(!first_events.is_empty());
 
     // Kill the second ingest while its segments are being written: after
-    // the journal begin (3 ops) and the prepare_dir removals, before its
-    // commit record.
+    // the journal begin (3 ops) and the retirement of the first store's
+    // segments, before its commit record.
     let (cfg, fs) = faulty_config(FaultPlan::new().kill_at_op(40), 64);
     ingest_with(&dir, &second, &cfg).expect_err("killed reingest");
     assert!(fs.killed());
 
     let events = replay_events(&dir);
     let store = Store::open(&dir).unwrap();
-    // The second ingest journals a new generation, then clears the old
-    // segments; its crash rolls forward to that generation's intent —
-    // empty — never to a half-written mix of both runs.
+    // The second ingest retires the old segments before its commit
+    // point, so its crash rolls back to the first store — never to an
+    // empty store or a half-written mix of both runs.
     assert!(
-        events.is_empty() || events == first_events,
-        "recovered store must be one of the two consistent states, got {} events",
+        events == first_events,
+        "recovered store must be the first ingest's, got {} events",
         events.len()
     );
     assert!(store.manifest().generation >= first_gen);
